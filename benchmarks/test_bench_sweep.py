@@ -1,21 +1,21 @@
-"""Benchmarks for the sharded sweep execution backend (PR 5).
+"""Benchmarks for sharded sweep execution on the worker fabric.
 
-On sweeps of many small cells, per-cell process dispatch pays the full task
-overhead — future bookkeeping, cell/record pickling, a fresh intern pool,
-scenario construction — once per cell, which quickly dwarfs the cells' own
-simulation cost.  The :class:`~repro.experiments.executors.\
-ChunkedShardExecutor` amortises all of it: cells are grouped into per-worker
-shards of structurally identical instances (shard-key params), one pool task
-runs a whole shard, the hash-consing intern pool is shared across the shard,
-and the base scenario is built once per parameter assignment.
+On sweeps of many small cells, one cell per shard pays the full dispatch
+overhead — a lease, a JSON round trip, a fresh intern pool, scenario
+construction — once per cell, which quickly dwarfs the cells' own
+simulation cost.  Derived shards (:func:`~repro.experiments.executors.\
+plan_shards`) amortise all of it: cells are grouped into per-worker shards
+of structurally identical instances (shard-key params), one lease runs a
+whole shard, the hash-consing intern pool is shared across the shard, and
+the base scenario is built once per parameter assignment.
 
-This file gates the headline claim — the sharded backend is >= 2x faster
-than per-cell dispatch on a many-small-cell sweep with identical results —
-and appends the measured trajectory to ``BENCH_sweep.json``, which CI diffs
-against the committed ``BENCH_sweep.baseline.json`` via
-``scripts/check_bench_regression.py``.  A second workload records the warm
-resume-scan cost (every cell served from the store) so cache-path
-regressions show up in the trajectory too.
+This file gates the headline claim — on the fabric with 2 local workers,
+derived shards are >= 2x faster than ``shard_size=1`` on a many-small-cell
+sweep, with records identical to serial — and appends the measured
+trajectory to ``BENCH_sweep.json``, which CI diffs against the committed
+``BENCH_sweep.baseline.json`` via ``scripts/check_bench_regression.py``.  A
+second workload records the warm resume-scan cost (every cell served from
+the store) so cache-path regressions show up in the trajectory too.
 """
 
 import time
@@ -29,12 +29,12 @@ from repro.experiments import ResultStore, expand_grid, run_sweep
 #: ``BENCH_sweep.baseline.json`` by ``scripts/check_bench_regression.py``).
 ARTIFACT = Path(__file__).resolve().parent / "BENCH_sweep.json"
 
-#: The acceptance criterion: sharded execution >= 2x faster than per-cell
-#: process dispatch on the many-small-cell grid below (measured ~2.5-3x).
+#: The acceptance criterion: derived shards >= 2x faster than one cell per
+#: shard on the many-small-cell grid below.
 REQUIRED_SPEEDUP = 2.0
 
 #: 1 scenario x 3 adversaries x 192 seeds = 576 cells of ~0.3ms each: the
-#: regime the sharded backend exists for.  ``summary`` keeps the per-cell
+#: regime shard amortisation exists for.  ``summary`` keeps the per-cell
 #: analysis cost small so dispatch overhead, not analysis, is measured.
 GRID = dict(
     scenarios=["line-flood"],
@@ -71,28 +71,31 @@ def _best_of(rounds, fn):
     return best, outcome
 
 
-def test_bench_sharded_vs_percell_dispatch():
-    """Sharded backend >= 2x over per-cell dispatch, identical records."""
+def test_bench_derived_shards_vs_one_cell_shards():
+    """Derived shards >= 2x over one-cell shards on the fabric, identical records."""
     cells = _grid()
 
-    percell_s, percell = _best_of(
-        2, lambda: run_sweep(cells, store=None, workers=WORKERS, backend="process")
-    )
-    sharded_s, sharded = _best_of(
-        2, lambda: run_sweep(cells, store=None, workers=WORKERS, backend="sharded")
-    )
-    assert percell.errors == 0 and percell.executed == len(cells)
-    assert sharded.errors == 0 and sharded.executed == len(cells)
-    assert _strip(sharded.records) == _strip(percell.records), (
-        "sharded backend changed sweep results"
-    )
+    def fabric(shard_size):
+        return run_sweep(
+            cells, store=None, workers=WORKERS, backend="fabric", shard_size=shard_size
+        )
 
-    speedup = percell_s / sharded_s if sharded_s > 0 else float("inf")
+    shard1_s, shard1 = _best_of(2, lambda: fabric(1))
+    derived_s, derived = _best_of(2, lambda: fabric(None))
+    serial = run_sweep(cells, store=None, workers=1, backend="serial")
+    for outcome in (shard1, derived):
+        assert outcome.backend == "fabric"
+        assert outcome.errors == 0 and outcome.executed == len(cells)
+        assert _strip(outcome.records) == _strip(serial.records), (
+            "fabric changed sweep results"
+        )
+
+    speedup = shard1_s / derived_s if derived_s > 0 else float("inf")
     report(
-        "Sweep backends: sharded vs per-cell dispatch",
+        "Fabric sweep: derived shards vs one cell per shard",
         "no measurement in the paper (harness cost)",
-        f"{len(cells)} cells x {WORKERS} workers: per-cell {percell_s * 1e3:.0f}ms, "
-        f"sharded {sharded_s * 1e3:.0f}ms, speedup {speedup:.1f}x",
+        f"{len(cells)} cells x {WORKERS} workers: one-cell shards {shard1_s * 1e3:.0f}ms, "
+        f"derived shards {derived_s * 1e3:.0f}ms, speedup {speedup:.1f}x",
     )
     record(
         ARTIFACT,
@@ -100,15 +103,15 @@ def test_bench_sharded_vs_percell_dispatch():
         {
             "cells": len(cells),
             "workers": WORKERS,
-            "percell_s": round(percell_s, 6),
-            "sharded_s": round(sharded_s, 6),
-            "sharded_vs_percell_speedup": round(speedup, 1),
+            "shard1_s": round(shard1_s, 6),
+            "derived_s": round(derived_s, 6),
+            "derived_vs_shard1_speedup": round(speedup, 1),
         },
     )
 
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"sharded backend only {speedup:.1f}x faster than per-cell dispatch "
-        f"({percell_s * 1e3:.0f}ms vs {sharded_s * 1e3:.0f}ms)"
+        f"derived shards only {speedup:.1f}x faster than one-cell shards "
+        f"({shard1_s * 1e3:.0f}ms vs {derived_s * 1e3:.0f}ms)"
     )
 
 
@@ -116,7 +119,7 @@ def test_bench_resume_scan(tmp_path):
     """Warm resume: the whole grid served from the store, zero execution."""
     cells = _grid()
     store = ResultStore(str(tmp_path / "resume.jsonl"))
-    cold = run_sweep(cells, store=store, workers=WORKERS, backend="sharded")
+    cold = run_sweep(cells, store=store, workers=WORKERS, backend="fabric")
     assert cold.executed == len(cells) and cold.errors == 0
 
     scan_s, warm = _best_of(

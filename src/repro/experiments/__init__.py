@@ -3,15 +3,15 @@
 This package is the substrate for running the reproduction at scale: a
 registered scenario (see :mod:`repro.scenarios`) crossed with delivery
 adversaries, seeds and parameter values becomes a grid of *cells*; the
-:mod:`runner <repro.experiments.runner>` executes cells on a process pool
-with deterministic per-cell seeding; versioned :mod:`analysis passes
+:mod:`runner <repro.experiments.runner>` executes cells serially or on the
+worker fabric with deterministic per-cell seeding; versioned :mod:`analysis passes
 <repro.experiments.analyses>` turn each run into JSON metrics; and the
 content-addressed :mod:`store <repro.experiments.store>` makes repeated
-sweeps incremental.  Sweeps scale past one machine through the distributed
-fabric (:mod:`repro.experiments.remote`: a lease-and-heartbeat coordinator
-serving ``repro worker`` processes) and survive sick workers everywhere —
-pool supervision in :mod:`repro.experiments.executors`, deterministic fault
-injection in :mod:`repro.experiments.faults`.  The ``repro`` CLI
+sweeps incremental.  Parallel sweeps run on one engine, the fabric
+(:mod:`repro.experiments.remote`: a lease-and-heartbeat coordinator serving
+a local worker fleet or ``repro worker`` processes on other machines),
+which survives sick workers; :mod:`repro.experiments.faults` injects
+deterministic faults to prove it.  The ``repro`` CLI
 (:mod:`repro.experiments.cli`) wraps the whole pipeline.
 """
 
@@ -29,15 +29,10 @@ from .analyses import (
 from .cli import main
 from .executors import (
     BACKENDS,
-    ChunkedShardExecutor,
-    ProcessExecutor,
     SerialExecutor,
     SweepExecutor,
-    WorkerTimeout,
     plan_shards,
     resolve_executor,
-    run_cell_monitored,
-    run_shard,
     run_shard_monitored,
     shard_signature,
 )
@@ -104,12 +99,6 @@ from .remote import (
     cell_to_wire,
     run_worker,
 )
-from .snapshot import (
-    SNAPSHOT_FORMAT_VERSION,
-    SnapshotError,
-    load_snapshot,
-    write_snapshot,
-)
 from .store import (
     DEFAULT_ROTATE_BYTES,
     DEFAULT_STORE_PATH,
@@ -127,7 +116,6 @@ __all__ = [
     "BACKENDS",
     "AnalysisError",
     "AnalysisPass",
-    "ChunkedShardExecutor",
     "DEFAULT_ANALYSES",
     "DEFAULT_CHAOS_PLAN",
     "DEFAULT_REPORT_METRICS",
@@ -142,15 +130,12 @@ __all__ = [
     "GOLDEN_FORMAT_VERSION",
     "INDEX_FORMAT_VERSION",
     "MAX_CELLS",
-    "ProcessExecutor",
     "RemoteExecutor",
     "ResultStore",
     "SEGMENT_FORMAT_VERSION",
-    "SNAPSHOT_FORMAT_VERSION",
     "STORAGE_KINDS",
     "STORE_FORMAT_VERSION",
     "SerialExecutor",
-    "SnapshotError",
     "SpecError",
     "StoreError",
     "SweepCell",
@@ -161,7 +146,6 @@ __all__ = [
     "TELEMETRY_KIND",
     "TELEMETRY_STATUS",
     "WorkerFailure",
-    "WorkerTimeout",
     "aggregate_metric",
     "analysis_versions",
     "build_base_scenario",
@@ -186,7 +170,6 @@ __all__ = [
     "infer_roles",
     "knowledge_answers",
     "list_analyses",
-    "load_snapshot",
     "main",
     "make_cell",
     "make_delivery",
@@ -199,8 +182,6 @@ __all__ = [
     "validate_spec",
     "run_analyses",
     "run_cell",
-    "run_cell_monitored",
-    "run_shard",
     "run_shard_monitored",
     "run_sweep",
     "run_worker",
@@ -208,5 +189,4 @@ __all__ = [
     "storage_fault",
     "sweep_telemetry_key",
     "write_corpus",
-    "write_snapshot",
 ]

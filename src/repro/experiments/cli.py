@@ -3,22 +3,23 @@
 * ``repro list`` — registered scenarios (with typed parameters), analysis
   passes, and delivery adversaries;
 * ``repro run SCENARIO`` — one cell, with an optional space-time diagram;
-* ``repro sweep`` — a parameter grid executed on a process pool, cached in
-  the persistent result store (repeat invocations are incremental);
+* ``repro sweep`` — a parameter grid executed serially or on the worker
+  fabric (a local worker fleet, or external workers with ``--listen``),
+  cached in the persistent result store (repeat invocations are
+  incremental);
 * ``repro report`` — aggregate tables over the store (numeric metrics as
   mean/min/max, booleans and labels as value counts), per-cell space-time
   diagrams, persisted sweep telemetry (``--telemetry``), and a static HTML
   dashboard (``--html``);
 * ``repro export`` — GraphML / DOT dumps of a cell's bounds graph, extended
   bounds graph ``GE(r, sigma)``, or causal-past DAG;
-* ``repro worker`` — join a ``repro sweep --backend remote`` coordinator as
-  a remote worker (heartbeats, lease-based shard execution, optional
-  deterministic fault injection via ``--faults``, warm-start via
-  ``--snapshot``);
+* ``repro worker`` — join a ``repro sweep --listen`` coordinator as a
+  remote worker (heartbeats, lease-based shard execution, optional
+  deterministic fault injection via ``--faults``);
 * ``repro store`` — inspect and maintain the segmented result store:
   ``verify`` (CRC every sealed record; ``--repair`` drops corrupt ones),
-  ``migrate`` (upgrade a legacy single-file store), ``compact``, ``info``,
-  and ``snapshot`` (write a worker warm-start file).
+  ``migrate`` (upgrade a legacy single-file store), ``compact``, and
+  ``info``.
 
 Installed as a console script via ``pip install -e .`` or reachable as
 ``python -m repro``.
@@ -203,15 +204,20 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
             f"--workers must be >= 1, got {args.workers} "
             "(use --workers 1 for the serial path)"
         )
+    # --listen serves external workers, so it implies the fabric; without
+    # it, `auto` runs one worker serially and forks a local fleet otherwise.
+    fabric = args.backend == "fabric" or (
+        args.backend == "auto" and (args.workers > 1 or args.listen is not None)
+    )
     if args.shard_size is not None:
         if args.shard_size < 1:
             raise CliError(f"--shard-size must be >= 1, got {args.shard_size}")
-        if args.backend not in ("sharded", "remote"):
-            raise CliError("--shard-size requires --backend sharded or remote")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
+        if not fabric:
+            raise CliError("--shard-size requires the fabric backend")
+    if args.cell_timeout <= 0:
         raise CliError(f"--cell-timeout must be > 0, got {args.cell_timeout}")
-    if args.listen is not None and args.backend != "remote":
-        raise CliError("--listen requires --backend remote")
+    if args.listen is not None and not fabric:
+        raise CliError("--listen requires the fabric backend")
     if args.force and args.resume:
         raise CliError("--force and --resume are mutually exclusive")
     if args.retry_errors and not args.resume:
@@ -232,17 +238,17 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
         chaos_has_storage = len(process_kinds) < len(parsed_plan.rules)
         # Storage faults fire in *this* process (the coordinator owns the
         # store), so a storage-only plan works on any backend, serial
-        # included.  Process faults keep their pool-worker scoping rules.
+        # included.  Process faults only fire in the local workers.
         if process_kinds:
-            if args.backend == "remote":
+            if args.listen is not None:
                 raise CliError(
-                    "--chaos scripts faults into this process's pool workers; remote "
-                    "workers are separate processes — start them with "
-                    "`repro worker --faults SPEC` instead"
+                    "--chaos scripts faults into this sweep's local workers; "
+                    "with --listen the workers are separate processes — start "
+                    "them with `repro worker --faults SPEC` instead"
                 )
-            if args.backend == "serial" or args.workers < 2:
+            if not fabric or args.workers < 2:
                 raise CliError(
-                    "--chaos needs a pool backend with --workers >= 2: process "
+                    "--chaos needs local workers (--workers >= 2): process "
                     "faults only fire in worker processes, never in the "
                     "coordinator (storage-only plans run anywhere)"
                 )
@@ -288,8 +294,8 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
         rotate_bytes = args.rotate_bytes or None  # 0 disables rotation
     store = ResultStore(args.store, rotate_bytes=rotate_bytes)
     progress = (lambda message: print(f"  {message}", file=out)) if args.verbose else None
-    backend: Any = args.backend
-    if args.backend == "remote":
+    backend: Any = "serial"
+    if fabric:
         from .remote import RemoteExecutor
         from .serve import parse_endpoint
 
@@ -299,31 +305,33 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
                 host,
                 port,
                 workers_hint=args.workers,
+                local_workers=0 if args.listen is not None else args.workers,
                 shard_size=args.shard_size,
                 lease_base_s=args.lease_base_s,
-                lease_cell_s=args.lease_cell_s,
+                lease_cell_s=args.cell_timeout,
                 heartbeat_timeout_s=args.heartbeat_timeout_s,
                 local_fallback_after_s=args.local_fallback_s,
             )
         except OSError as exc:
             raise CliError(f"--listen: cannot bind {host}:{port}: {exc}") from None
-        # Parse-friendly and flushed before blocking: worker launchers (and
-        # the CI smoke) scrape the port from this line.
-        print(
-            f"coordinator: listening on {backend.address[0]}:{backend.address[1]}",
-            file=out,
-            flush=True,
-        )
+        if args.listen is not None:
+            # Parse-friendly and flushed before blocking: worker launchers
+            # (and the CI smoke) scrape the port from this line.
+            print(
+                f"coordinator: listening on {backend.address[0]}:{backend.address[1]}",
+                file=out,
+                flush=True,
+            )
     if chaos_plan is not None:
         print(f"chaos: injecting {chaos_plan!r}", file=out)
     previous_faults = os.environ.get(FAULTS_ENV)
     try:
         if chaos_plan is not None:
-            # Pool workers inherit the environment at fork and mark
-            # themselves via the pool initializer; this process never marks
-            # itself as a *worker*, so process faults cannot fire in the
-            # coordinator.  Storage faults are different: the coordinator
-            # owns the store, so it marks itself storage-fault-visible.
+            # Local workers inherit the environment and mark themselves in
+            # run_worker; this process never marks itself as a *worker*, so
+            # process faults cannot fire in the coordinator.  Storage faults
+            # are different: the coordinator owns the store, so it marks
+            # itself storage-fault-visible.
             os.environ[FAULTS_ENV] = chaos_plan
             if chaos_has_storage:
                 faults.mark_storage(chaos_plan)
@@ -336,8 +344,6 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
             backend=backend,
             resume=args.resume,
             retry_errors=args.retry_errors,
-            shard_size=args.shard_size,
-            cell_timeout=args.cell_timeout,
         )
     finally:
         if chaos_plan is not None:
@@ -380,7 +386,6 @@ def _cmd_worker(args: argparse.Namespace, out) -> int:
         faults_spec=args.faults,
         connect_timeout_s=args.connect_timeout_s,
         log=notify,
-        snapshot_path=args.snapshot,
     )
 
 
@@ -431,7 +436,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_store(args: argparse.Namespace, out) -> int:
-    """``repro store verify|repair|migrate|compact|info|snapshot``."""
+    """``repro store verify|migrate|compact|info``."""
     store = ResultStore(args.store)
     action = args.store_command
     if action == "info":
@@ -463,20 +468,6 @@ def _cmd_store(args: argparse.Namespace, out) -> int:
         dropped = store.compact()
         print(f"compacted: dropped {dropped} superseded/corrupt line(s)", file=out)
         print(f"store: {store.path} ({len(store)} records)", file=out)
-        return 0
-    if action == "snapshot":
-        from .snapshot import SnapshotError, write_snapshot
-
-        try:
-            info = write_snapshot(store, args.output, limit=args.limit)
-        except SnapshotError as exc:
-            raise CliError(str(exc))
-        print(json.dumps(info, indent=2, sort_keys=True), file=out)
-        print(
-            f"snapshot: {info['bases']} base(s), {info['nodes']} node(s) "
-            f"-> {info['path']}",
-            file=out,
-        )
         return 0
     raise CliError(f"unknown store command {action!r}")
 
@@ -695,29 +686,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep a parameter over explicit values",
     )
     sweep_parser.add_argument(
-        "--workers", type=int, default=DEFAULT_SWEEP_WORKERS, help="process-pool size"
+        "--workers",
+        type=int,
+        default=DEFAULT_SWEEP_WORKERS,
+        help="worker processes (local fleet size; with --listen, the "
+        "expected fleet size)",
     )
     sweep_parser.add_argument(
         "--backend",
         default="auto",
         choices=BACKENDS,
-        help="execution backend: serial, per-cell process dispatch, or chunked "
-        "shards of structurally similar cells (default: %(default)s)",
+        help="execution backend: serial in this process, or the worker "
+        "fabric serving shards of structurally similar cells; auto is "
+        "serial for one worker, fabric otherwise (default: %(default)s)",
     )
     sweep_parser.add_argument(
         "--shard-size",
         type=int,
         default=None,
         metavar="N",
-        help="cells per shard for --backend sharded (default: derived)",
+        help="cells per fabric shard (default: derived)",
     )
     sweep_parser.add_argument(
         "--resume",
         action="store_true",
         help="recover the store from a torn tail and skip persisted cells "
         "(a killed sweep continues, re-executing only what never reached "
-        "the store: at most one in-flight cell per worker, or one in-flight "
-        "shard with --backend sharded)",
+        "the store: at most one in-flight cell, or one in-flight shard per "
+        "fabric worker)",
     )
     sweep_parser.add_argument(
         "--retry-errors",
@@ -736,17 +732,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--cell-timeout",
         type=float,
-        default=None,
+        default=5.0,
         metavar="SECONDS",
-        help="max seconds one cell (sharded: one shard) may run in a pool "
-        "worker; violators restart the pool and repeat offenders are "
-        "quarantined as error records",
+        help="fabric lease budget per cell: a worker holding a shard longer "
+        "than --lease-base-s plus this per cell is replaced and the shard "
+        "re-served; a cell that outruns its lease on 3 distinct workers (or "
+        "that outran one when no worker is left) is quarantined as an error "
+        "record, even though a serial run would finish it; raise this for "
+        "long cells (default: %(default)s)",
     )
     sweep_parser.add_argument(
         "--chaos",
         action="store_true",
         help="smoke mode: inject the default deterministic fault plan "
-        f"({DEFAULT_CHAOS_PLAN!r}) into pool workers; the sweep must still "
+        f"({DEFAULT_CHAOS_PLAN!r}) into the local workers; the sweep must still "
         "complete with results identical to a serial run",
     )
     sweep_parser.add_argument(
@@ -760,29 +759,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen",
         default=None,
         metavar="HOST:PORT",
-        help="with --backend remote: bind the coordinator here "
-        "(default 127.0.0.1:0, an ephemeral port printed at startup)",
+        help="serve `repro worker` processes on this address instead of "
+        "forking local workers (implies the fabric backend; port 0 picks an "
+        "ephemeral port, printed at startup)",
     )
     sweep_parser.add_argument(
         "--lease-base-s",
         type=float,
         default=10.0,
         metavar="S",
-        help="remote: base lease budget per shard assignment (default: %(default)s)",
-    )
-    sweep_parser.add_argument(
-        "--lease-cell-s",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="remote: extra lease budget per cell in the shard (default: %(default)s)",
+        help="fabric: base lease budget per shard assignment (default: %(default)s)",
     )
     sweep_parser.add_argument(
         "--heartbeat-timeout-s",
         type=float,
         default=5.0,
         metavar="S",
-        help="remote: a worker silent this long is declared dead and its "
+        help="fabric: a worker silent this long is declared dead and its "
         "shards requeued (default: %(default)s)",
     )
     sweep_parser.add_argument(
@@ -790,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="S",
-        help="remote: with no live workers for this long, the coordinator "
-        "starts executing shards inline (default: %(default)s)",
+        help="with --listen: with no live workers for this long, the "
+        "coordinator starts executing shards inline (default: %(default)s)",
     )
     sweep_parser.add_argument("--horizon", type=int, default=None)
     sweep_parser.add_argument("--analysis", action="append", metavar="NAME")
@@ -910,13 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(KIND@POINT:WHEN[:ARG], e.g. 'kill@worker.shard:1')",
     )
     worker_parser.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="PATH",
-        help="warm-start from a snapshot written by `repro store snapshot` "
-        "(pre-interned pool + pre-built base scenarios)",
-    )
-    worker_parser.add_argument(
         "--verbose", action="store_true", help="log leases and lifecycle events"
     )
 
@@ -1004,26 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compact", help="rewrite the store keeping the newest record per key"
     )
     info_parser = store_sub.add_parser("info", help="print the store layout")
-    snapshot_parser = store_sub.add_parser(
-        "snapshot", help="write a worker warm-start snapshot from the store"
-    )
-    snapshot_parser.add_argument(
-        "--output", required=True, metavar="PATH", help="snapshot file to write"
-    )
-    snapshot_parser.add_argument(
-        "--limit",
-        type=int,
-        default=8,
-        metavar="N",
-        help="distinct (scenario, params) bases to capture (default: %(default)s)",
-    )
-    for sub_parser in (
-        verify_parser,
-        migrate_parser,
-        compact_parser,
-        info_parser,
-        snapshot_parser,
-    ):
+    for sub_parser in (verify_parser, migrate_parser, compact_parser, info_parser):
         sub_parser.add_argument("--store", default=DEFAULT_STORE_PATH, metavar="PATH")
     return parser
 

@@ -6,40 +6,25 @@ is a :class:`SweepExecutor`: it receives the pending ``(index, cell)`` pairs
 and must invoke the result handler exactly once per cell, in completion
 order, with either the cell's result record or an error record.
 
-Four backends ship:
+Two backends ship:
 
-* :class:`SerialExecutor` — in-process, cell by cell.  No pool spawn cost,
-  so it is the right choice for single-worker runs and tiny sweeps.
-* :class:`ProcessExecutor` — one :class:`~concurrent.futures.\
-ProcessPoolExecutor` task per cell (the classic behaviour).  Maximum
-  scheduling freedom, but every cell pays task dispatch, a fresh intern
-  pool, and scenario construction on its own.
-* :class:`ChunkedShardExecutor` — groups cells into per-worker *shards* and
-  dispatches whole shards.  Cells are grouped by their shard signature
-  (scenario name plus the parameters flagged ``shard_key=True`` on their
-  :class:`~repro.scenarios.base.ParamSpec`), so one worker task runs a
-  family of structurally identical instances back to back: pool dispatch is
-  paid once per shard, the hash-consing intern pool is shared across the
-  shard, and the base scenario is built once per distinct parameter
-  assignment and re-decorated per adversary.  On sweeps of many small cells
-  this amortisation dominates (see ``benchmarks/test_bench_sweep.py``).
-  The trade-off is checkpoint granularity: a worker reports a whole shard
-  at once, so a sweep killed mid-shard loses that shard's completed-but-
-  unreported cells (bounded by the shard size), where the per-cell
-  backends lose at most one cell per worker.
-* :class:`~repro.experiments.remote.RemoteExecutor` — serves shards to
-  remote worker processes over a socket wire protocol with heartbeats and
-  lease-based assignment (see :mod:`repro.experiments.remote`).
-
-The pool-backed backends are supervised (:class:`_PoolSupervisor`): a
-worker that dies mid-task (``BrokenProcessPool``) triggers a pool restart
-and resubmission of the lost tasks instead of aborting the sweep; a task
-whose worker exceeds its execution deadline is abandoned (the pool is
-killed and restarted) and, after repeated timeouts, quarantined as an error
-record; and when the pool keeps breaking without making progress, execution
-degrades gracefully to the in-process serial path for whatever remains.  A
-shard that fails as a unit is re-run inline cell by cell, so one poison
-cell costs one error record, not its whole shard.
+* :class:`SerialExecutor` — in-process, cell by cell.  No process spawn
+  cost, so it is the right choice for single-worker runs and tiny sweeps,
+  and it is the reference every other backend must reproduce.
+* :class:`~repro.experiments.remote.RemoteExecutor` (``fabric``) — the one
+  multi-process engine.  It groups cells into *shards* of structurally
+  similar cells (:func:`plan_shards`) and serves them over a socket to
+  worker processes: a local fleet it forks itself, or ``repro worker``
+  processes that connect from elsewhere.  Each worker runs a whole shard
+  through :func:`run_shard_monitored`: the hash-consing intern pool is
+  shared across the shard and the base scenario is built once per
+  parameter assignment, so on sweeps of many small cells dispatch is
+  amortised (see ``benchmarks/test_bench_sweep.py``).  Leases, heartbeats,
+  distinct-worker quarantine and worker replacement make it survive sick
+  workers (see :mod:`repro.experiments.remote`).  The trade-off is
+  checkpoint granularity: a worker reports a whole shard at once, so a
+  sweep killed mid-shard loses that shard's completed-but-unreported cells
+  (bounded by the shard size).
 
 Every backend produces records identical to the serial one (modulo the
 ``duration_s`` timing field): cells are seeded by their identity, interning
@@ -48,66 +33,32 @@ never changes semantics, and shard grouping is a scheduling hint only.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from abc import ABC, abstractmethod
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..obs import metrics as _metrics
 from ..obs.collect import Collector, registry_baseline, registry_delta
 from ..obs.trace import trace_events
 from ..scenarios.base import RegistryError, get_scenario
 from ..simulation.interning import intern_pool
 from . import faults
-from .runner import (
-    SweepCell,
-    SweepError,
-    error_record,
-    execute_cell_inline,
-    run_cell,
-)
+from .runner import SweepCell, SweepError, error_record, execute_cell_inline, run_cell
 
 #: The backend names ``run_sweep``/the CLI accept.
-BACKENDS: Tuple[str, ...] = ("auto", "serial", "process", "sharded", "remote")
+BACKENDS: Tuple[str, ...] = ("auto", "serial", "fabric")
 
 #: Ceiling on *derived* cells per shard: bounds a worker's intern-pool
 #: lifetime (memory) and keeps shards small enough to balance across the
-#: pool.  An explicit ``shard_size`` is the caller's choice and may exceed it.
+#: fleet.  An explicit ``shard_size`` is the caller's choice and may exceed it.
 DEFAULT_MAX_SHARD_CELLS = 32
 
 #: Shards-per-worker target when deriving a shard size automatically; a bit
-#: of oversubscription lets the pool rebalance around slow shards.
+#: of oversubscription lets the fleet rebalance around slow shards.
 _SHARDS_PER_WORKER = 4
-
-#: Consecutive pool restarts that deliver no result before a supervised
-#: backend stops restarting and degrades to in-process execution.
-DEFAULT_MAX_POOL_RESTARTS = 3
-
-#: Execution-deadline violations (distinct pool incarnations) a single task
-#: survives before it is quarantined as a failed record.
-DEFAULT_MAX_TASK_ATTEMPTS = 3
-
-#: How often the supervision loop wakes to check worker deadlines.
-_SUPERVISE_TICK_S = 0.05
 
 #: ``handle(index, cell, record)`` — invoked exactly once per pending cell.
 ResultHandler = Callable[[int, SweepCell, Dict[str, Any]], None]
-
-_C_POOL_RESTARTS = _metrics.counter("sweep.pool_restarts")
-_C_POOL_BROKEN = _metrics.counter("sweep.pool_broken")
-_C_TASK_TIMEOUTS = _metrics.counter("sweep.task_timeouts")
-_C_TASK_RETRIES = _metrics.counter("sweep.task_retries")
-_C_QUARANTINED = _metrics.counter("sweep.cells_quarantined")
-_C_INLINE_FALLBACK = _metrics.counter("sweep.inline_fallback_cells")
-_C_SHARD_INLINE_RETRY = _metrics.counter("sweep.shard_inline_retries")
-
-
-class WorkerTimeout(RuntimeError):
-    """A task's worker exceeded its execution deadline repeatedly."""
 
 
 class SweepExecutor(ABC):
@@ -143,7 +94,7 @@ class SweepExecutor(ABC):
 
     @property
     def fabric(self) -> Dict[str, Any]:
-        """Mutable robustness accounting (restarts, retries, quarantines).
+        """Mutable robustness accounting (replacements, inline fallbacks).
 
         Persisted into the sweep telemetry record as its ``fabric`` section
         (see :func:`repro.experiments.runner.run_sweep`); lazily created so
@@ -187,253 +138,6 @@ class SerialExecutor(SweepExecutor):
             handle(index, cell, record)
 
 
-# ---------------------------------------------------------------------------
-# Pool supervision: broken-pool recovery, deadlines, graceful degradation.
-# ---------------------------------------------------------------------------
-
-
-def _abandon_pool(executor: ProcessPoolExecutor) -> None:
-    """Tear down a pool that may contain hung or dying workers.
-
-    A graceful ``shutdown(wait=True)`` would block behind a hung task, so
-    queued work is cancelled, the worker processes are SIGKILLed outright,
-    and the join is best-effort.  Private-attribute access is deliberate:
-    :class:`ProcessPoolExecutor` offers no public way to reap a wedged
-    worker, and leaking a process that sleeps for minutes would stall
-    interpreter shutdown.
-    """
-    processes = list(getattr(executor, "_processes", {}).values())
-    executor.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.kill()
-        except Exception:  # noqa: BLE001 - already-dead workers are fine
-            pass
-    for process in processes:
-        try:
-            process.join(timeout=1.0)
-        except Exception:  # noqa: BLE001
-            pass
-
-
-class _PoolSupervisor:
-    """Run payloads through worker pools, surviving sick workers.
-
-    Generic over the payload: ``fn(payload)`` executes in a pool worker and
-    ``on_done(task_id, ("ok", value) | ("error", exc))`` delivers outcomes in
-    the parent, at most once per task.  The supervisor guarantees forward
-    progress and bounded failure handling:
-
-    * ``BrokenProcessPool`` (a worker died mid-task) restarts the pool and
-      resubmits every unfinished task;
-    * with ``task_timeout`` set, a task observed *running* longer than the
-      timeout marks the pool sick: the pool is killed
-      (:func:`_abandon_pool`), the timed-out tasks are charged an attempt,
-      and everything unfinished is resubmitted — a task charged
-      ``max_attempts`` times lands in the returned ``timed_out`` list
-      instead of being retried forever;
-    * ``max_restarts`` consecutive pool incarnations that deliver nothing
-      stop the restart loop; the unfinished remainder comes back in
-      ``leftover`` for the caller's in-process fallback.
-
-    Workers are initialised with :func:`repro.experiments.faults.\
-pool_worker_init`, so chaos plans (``REPRO_FAULTS``) apply to pool workers
-    and never to the supervising parent.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[Any], Any],
-        workers: int,
-        *,
-        task_timeout: Optional[float] = None,
-        max_restarts: int = DEFAULT_MAX_POOL_RESTARTS,
-        max_attempts: int = DEFAULT_MAX_TASK_ATTEMPTS,
-    ):
-        self.fn = fn
-        self.workers = workers
-        self.task_timeout = task_timeout
-        self.max_restarts = max_restarts
-        self.max_attempts = max_attempts
-        self.stats: Dict[str, int] = {}
-
-    def _count(self, key: str, amount: int = 1) -> None:
-        self.stats[key] = self.stats.get(key, 0) + amount
-
-    def run(
-        self,
-        payloads: Sequence[Any],
-        on_done: Callable[[int, Tuple[str, Any]], None],
-    ) -> Tuple[List[int], List[int]]:
-        """Execute every payload; return ``(leftover_ids, timed_out_ids)``.
-
-        Every task id is either delivered exactly once via ``on_done`` or
-        returned in exactly one of the two lists.
-        """
-        pending: deque[int] = deque(range(len(payloads)))
-        timeouts: Dict[int, int] = {}
-        timed_out_ids: List[int] = []
-        unproductive = 0
-        first_pool = True
-        while pending:
-            if unproductive > self.max_restarts:
-                break
-            if not first_pool:
-                _C_POOL_RESTARTS.value += 1
-                self._count("pool_restarts")
-            first_pool = False
-            batch = list(pending)
-            pending.clear()
-            resolved: set = set()
-            delivered = 0
-            broken = False
-            abandoned = False
-            executor = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(batch)),
-                initializer=faults.pool_worker_init,
-            )
-            try:
-                futures = {
-                    executor.submit(self.fn, payloads[tid]): tid for tid in batch
-                }
-                remaining = set(futures)
-                running_since: Dict[Any, float] = {}
-                while remaining:
-                    done, not_done = wait(
-                        remaining, timeout=_SUPERVISE_TICK_S, return_when=FIRST_COMPLETED
-                    )
-                    now = time.monotonic()
-                    for future in done:
-                        tid = futures[future]
-                        try:
-                            value = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            break
-                        except Exception as exc:  # noqa: BLE001 - per-task isolation
-                            on_done(tid, ("error", exc))
-                            resolved.add(tid)
-                            delivered += 1
-                        else:
-                            on_done(tid, ("ok", value))
-                            resolved.add(tid)
-                            delivered += 1
-                    if broken:
-                        _C_POOL_BROKEN.value += 1
-                        self._count("pool_broken")
-                        break
-                    remaining = not_done
-                    if self.task_timeout is None:
-                        continue
-                    expired = False
-                    for future in remaining:
-                        if not future.running():
-                            continue
-                        started = running_since.setdefault(future, now)
-                        if now - started >= self.task_timeout:
-                            tid = futures[future]
-                            timeouts[tid] = timeouts.get(tid, 0) + 1
-                            _C_TASK_TIMEOUTS.value += 1
-                            self._count("task_timeouts")
-                            expired = True
-                    if expired:
-                        abandoned = True
-                        break
-            finally:
-                if broken or abandoned:
-                    _abandon_pool(executor)
-                else:
-                    executor.shutdown(wait=True)
-            for tid in batch:
-                if tid in resolved:
-                    continue
-                if timeouts.get(tid, 0) >= self.max_attempts:
-                    timed_out_ids.append(tid)
-                    continue
-                pending.append(tid)
-                _C_TASK_RETRIES.value += 1
-                self._count("task_retries")
-            unproductive = 0 if delivered else unproductive + 1
-        return list(pending), timed_out_ids
-
-
-def _fold_supervisor(executor: SweepExecutor, supervisor: _PoolSupervisor) -> None:
-    fabric = executor.fabric
-    for key, value in supervisor.stats.items():
-        fabric[key] = fabric.get(key, 0) + value
-
-
-class ProcessExecutor(SweepExecutor):
-    """One process-pool task per cell (per-cell dispatch), supervised."""
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int,
-        cell_timeout: Optional[float] = None,
-        max_restarts: int = DEFAULT_MAX_POOL_RESTARTS,
-        max_attempts: int = DEFAULT_MAX_TASK_ATTEMPTS,
-    ):
-        if workers < 1:
-            raise SweepError(f"workers must be >= 1, got {workers}")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise SweepError(f"cell timeout must be > 0, got {cell_timeout}")
-        self.workers = workers
-        self.cell_timeout = cell_timeout
-        self.max_restarts = max_restarts
-        self.max_attempts = max_attempts
-
-    def execute(self, pending: Sequence[Tuple[int, SweepCell]], handle: ResultHandler) -> None:
-        if self.workers == 1 or len(pending) <= 1:
-            # In-process: increments land in the parent registry directly.
-            SerialExecutor().execute(pending, handle)
-            return
-        supervisor = _PoolSupervisor(
-            run_cell_monitored,
-            self.workers,
-            task_timeout=self.cell_timeout,
-            max_restarts=self.max_restarts,
-            max_attempts=self.max_attempts,
-        )
-
-        def on_done(tid: int, outcome: Tuple[str, Any]) -> None:
-            index, cell = pending[tid]
-            kind, value = outcome
-            if kind == "ok":
-                record = value["record"]
-                self._absorb_worker_payload(value, cells=1)
-            else:
-                record = error_record(cell, value)
-            handle(index, cell, record)
-
-        leftover, timed_out = supervisor.run([cell for _, cell in pending], on_done)
-        _fold_supervisor(self, supervisor)
-        # Quarantine repeat deadline violators: a cell that hung its worker
-        # on every attempt would hang the sweep itself if re-run inline.
-        for tid in timed_out:
-            index, cell = pending[tid]
-            _C_QUARANTINED.value += 1
-            self._bump("cells_quarantined")
-            handle(
-                index,
-                cell,
-                error_record(
-                    cell,
-                    WorkerTimeout(
-                        f"cell exceeded {self.cell_timeout}s on "
-                        f"{self.max_attempts} worker(s); quarantined"
-                    ),
-                ),
-            )
-        # Graceful degradation: workers died faster than they made progress,
-        # so whatever never timed out finishes on the in-process serial path.
-        if leftover:
-            _C_INLINE_FALLBACK.value += len(leftover)
-            self._bump("inline_fallback_cells", len(leftover))
-            SerialExecutor().execute([pending[tid] for tid in leftover], handle)
-
-
 def shard_signature(cell: SweepCell) -> Tuple[Any, ...]:
     """The grouping key of a cell for sharded execution.
 
@@ -465,8 +169,8 @@ def plan_shards(
     scatter the cells a shard's base-scenario cache could serve), and then
     each bucket is chunked.  The chunk size is ``shard_size`` when given,
     otherwise derived so the sweep yields roughly ``workers * 4`` shards
-    (bounded by :data:`DEFAULT_MAX_SHARD_CELLS`): enough shards for the pool
-    to balance load, few enough that dispatch stays amortised.
+    (bounded by :data:`DEFAULT_MAX_SHARD_CELLS`): enough shards for the
+    fleet to balance load, few enough that dispatch stays amortised.
     """
     if shard_size is not None and shard_size < 1:
         raise SweepError(f"shard size must be >= 1, got {shard_size}")
@@ -485,50 +189,22 @@ def plan_shards(
     return shards
 
 
-def run_cell_monitored(cell: SweepCell) -> Dict[str, Any]:
-    """Execute one cell and ship its metric delta with the record.
+def run_shard_monitored(cells: Sequence[SweepCell]) -> Dict[str, Any]:
+    """Execute one shard in the current process: the one shard loop.
 
-    The worker half of the snapshot-delta protocol
-    (:mod:`repro.obs.collect`): the payload carries the result record plus
-    everything the cell's execution added to this process's registry, so the
-    sweep parent can merge metrics from reused pool workers without double
-    counting.  New trace events ride along when deep tracing is on.
-    """
-    baseline = registry_baseline()
-    mark = len(trace_events())
-    started = time.perf_counter()
-    faults.fire("worker.cell")
-    record = run_cell(cell)
-    return {
-        "record": record,
-        "metrics": registry_delta(baseline),
-        "wall_s": time.perf_counter() - started,
-        "trace": trace_events()[mark:],
-    }
-
-
-def run_shard_monitored(
-    cells: Sequence[SweepCell],
-    base_cache: Optional[Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any]] = None,
-    fresh_pool: bool = True,
-) -> Dict[str, Any]:
-    """Execute one shard in the current process (pure; pool-safe).
-
-    The whole shard shares one intern pool — every cell of the shard rides
-    the same hash-consed substrate, so structurally identical histories,
-    messages, and causal pasts are built once — and a per-shard scenario
-    cache rebuilds the base scenario only once per distinct ``(scenario,
-    params)`` assignment (cells differing only in adversary re-decorate it).
-    ``records`` holds one record per cell, aligned with the input order; a
-    failing cell yields an error record without poisoning the rest of the
-    shard.  Like :func:`run_cell_monitored`, the payload carries the shard's
-    registry delta, wall time, and new trace events.
-
-    A warm-started worker (``repro worker --snapshot``, see
-    :mod:`repro.experiments.snapshot`) passes its pre-built ``base_cache``
-    and ``fresh_pool=False`` so the shard runs in the process pool the
-    snapshot already populated instead of a scratch one; results are
-    bit-identical either way (cache hits equal rebuilds by construction).
+    Fabric workers run every leased shard through it, and the coordinator's
+    inline drain runs its shards through it too.  The whole shard shares
+    one intern pool — every cell of the shard rides the same hash-consed
+    substrate, so structurally identical histories, messages, and causal
+    pasts are built once — and a per-shard scenario cache rebuilds the base
+    scenario only once per distinct ``(scenario, params)`` assignment (cells
+    differing only in adversary re-decorate it).  ``records`` holds one
+    record per cell, aligned with the input order; a failing cell yields an
+    error record without poisoning the rest of the shard.  The payload also
+    carries the shard's registry delta, wall time, and new trace events (the
+    worker half of the snapshot-delta protocol, :mod:`repro.obs.collect`);
+    in-process callers keep only the wall time, since their metrics already
+    landed in their own registry.
 
     Fault-injection points ``worker.shard`` (once, up front) and
     ``worker.cell`` (per cell) fire here; they are no-ops outside marked
@@ -539,14 +215,12 @@ def run_shard_monitored(
     started = time.perf_counter()
     faults.fire("worker.shard")
     records: List[Dict[str, Any]] = []
-    scope = intern_pool() if fresh_pool else contextlib.nullcontext()
-    with scope:
-        if base_cache is None:
-            base_cache = {}
+    with intern_pool():
+        base_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
         for cell in cells:
             # Outside the per-cell try: a DropConnection fault must sever the
-            # shard (the remote worker catches it at its connection loop),
-            # never masquerade as a cell error record.
+            # shard (the worker catches it at its connection loop), never
+            # masquerade as a cell error record.
             faults.fire("worker.cell")
             try:
                 record, _ = execute_cell_inline(cell, base_cache=base_cache)
@@ -561,138 +235,6 @@ def run_shard_monitored(
     }
 
 
-def run_shard(cells: Sequence[SweepCell]) -> List[Dict[str, Any]]:
-    """The records of :func:`run_shard_monitored` (compatibility surface)."""
-    return run_shard_monitored(cells)["records"]
-
-
-class ChunkedShardExecutor(SweepExecutor):
-    """Dispatch per-worker shards of structurally similar cells, supervised."""
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        workers: int,
-        shard_size: Optional[int] = None,
-        shard_timeout: Optional[float] = None,
-        max_restarts: int = DEFAULT_MAX_POOL_RESTARTS,
-        max_attempts: int = DEFAULT_MAX_TASK_ATTEMPTS,
-    ):
-        if workers < 1:
-            raise SweepError(f"workers must be >= 1, got {workers}")
-        if shard_size is not None and shard_size < 1:
-            raise SweepError(f"shard size must be >= 1, got {shard_size}")
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise SweepError(f"shard timeout must be > 0, got {shard_timeout}")
-        self.workers = workers
-        self.shard_size = shard_size
-        self.shard_timeout = shard_timeout
-        self.max_restarts = max_restarts
-        self.max_attempts = max_attempts
-
-    def execute(self, pending: Sequence[Tuple[int, SweepCell]], handle: ResultHandler) -> None:
-        shards = plan_shards(pending, self.workers, self.shard_size)
-        if self.workers == 1 or len(shards) <= 1:
-            # Still amortised (shared pool, scenario cache), just in-process.
-            # Record shard wall-time metadata only: the metric increments and
-            # trace events already landed in the parent registry/buffer, and
-            # absorbing the payload too would double count them.
-            for shard in shards:
-                payload = run_shard_monitored([cell for _, cell in shard])
-                self.worker_telemetry.add_shard(
-                    len(shard), payload["wall_s"], in_process=True
-                )
-                self._deliver(shard, payload["records"], handle)
-            return
-        supervisor = _PoolSupervisor(
-            run_shard_monitored,
-            min(self.workers, len(shards)),
-            task_timeout=self.shard_timeout,
-            max_restarts=self.max_restarts,
-            max_attempts=self.max_attempts,
-        )
-
-        def on_done(tid: int, outcome: Tuple[str, Any]) -> None:
-            shard = shards[tid]
-            kind, value = outcome
-            if kind == "ok":
-                self._absorb_worker_payload(value, cells=len(shard))
-                self._deliver(shard, value["records"], handle)
-            else:
-                # The shard failed as a unit (its worker raised outside the
-                # per-cell isolation): re-run inline per cell so one poison
-                # cell costs one record, not the whole shard.
-                self._retry_shard_inline(shard, handle, cause=value)
-
-        leftover, timed_out = supervisor.run(
-            [[cell for _, cell in shard] for shard in shards], on_done
-        )
-        _fold_supervisor(self, supervisor)
-        for tid in timed_out:
-            # Quarantine: this shard repeatedly hung its worker past the
-            # deadline; re-running it inline could hang the sweep itself.
-            for index, cell in shards[tid]:
-                _C_QUARANTINED.value += 1
-                self._bump("cells_quarantined")
-                handle(
-                    index,
-                    cell,
-                    error_record(
-                        cell,
-                        WorkerTimeout(
-                            f"shard exceeded {self.shard_timeout}s on "
-                            f"{self.max_attempts} worker(s); quarantined"
-                        ),
-                    ),
-                )
-        for tid in leftover:
-            # Workers died faster than they made progress: finish in-process.
-            self._retry_shard_inline(shards[tid], handle, cause=None)
-
-    def _retry_shard_inline(
-        self,
-        shard: Sequence[Tuple[int, SweepCell]],
-        handle: ResultHandler,
-        cause: Optional[BaseException],
-    ) -> None:
-        """Run a failed shard's cells one by one in the parent process.
-
-        Per-cell granularity is the point: only the genuinely failing cell
-        yields an error record.  In-process execution, so only shard
-        wall-time metadata is recorded (metrics land in the parent registry
-        directly).  Injected faults never fire here — the parent is not a
-        marked worker — which also makes this the safe terminal fallback.
-        """
-        _C_SHARD_INLINE_RETRY.value += 1
-        self._bump("shard_inline_retries")
-        if cause is not None:
-            self.fabric["last_shard_error"] = f"{type(cause).__name__}: {cause}"
-        started = time.perf_counter()
-        with intern_pool():
-            base_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
-            for index, cell in shard:
-                try:
-                    record, _ = execute_cell_inline(cell, base_cache=base_cache)
-                except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                    record = error_record(cell, exc)
-                handle(index, cell, record)
-        self.worker_telemetry.add_shard(
-            len(shard), time.perf_counter() - started, in_process=True, inline_retry=True
-        )
-
-    @staticmethod
-    def _deliver(
-        shard: Sequence[Tuple[int, SweepCell]],
-        records: Sequence[Dict[str, Any]],
-        handle: ResultHandler,
-    ) -> None:
-        # strict: a worker returning the wrong record count must fail loudly,
-        # not silently drop the tail of the shard.
-        for (index, cell), record in zip(shard, records, strict=True):
-            handle(index, cell, record)
-
-
 def resolve_executor(
     backend: Union[str, SweepExecutor] = "auto",
     workers: int = 1,
@@ -701,36 +243,31 @@ def resolve_executor(
 ) -> SweepExecutor:
     """Turn a backend name (or a ready executor) into a :class:`SweepExecutor`.
 
-    ``auto`` picks the serial path for one worker and per-cell process
-    dispatch otherwise; ``process`` with one worker also degrades to serial
-    (no point spawning a pool for sequential work).  ``sharded`` keeps its
-    chunked execution even single-worker — the shared-pool and scenario-cache
-    amortisation applies in-process too.  ``remote`` builds a loopback
-    coordinator with default fabric settings; callers who need a fixed
-    listen address or tuned lease/heartbeat timeouts construct a
+    ``auto`` picks the serial path for one worker and the fabric otherwise.
+    ``fabric`` builds a loopback coordinator that forks ``workers`` local
+    worker processes; callers who need a fixed listen address, external
+    workers, or tuned lease/heartbeat timeouts construct a
     :class:`~repro.experiments.remote.RemoteExecutor` themselves and pass it
-    as the backend (the CLI does).  ``cell_timeout`` is the per-cell (or,
-    sharded, per-shard) worker execution deadline; ``None`` disables
-    deadline supervision.
+    as the backend (the CLI does).  ``cell_timeout`` is the fabric lease's
+    per-cell budget (``lease_cell_s``): a worker holding a shard past its
+    lease is killed and replaced, and the shard re-served.  ``None`` keeps
+    the fabric's default lease; the serial path runs without deadlines.
     """
     if isinstance(backend, SweepExecutor):
         return backend
     if workers < 1:
         raise SweepError(f"workers must be >= 1, got {workers}")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise SweepError(f"cell timeout must be > 0, got {cell_timeout}")
     if backend == "auto":
-        backend = "serial" if workers == 1 else "process"
+        backend = "serial" if workers == 1 else "fabric"
     if backend == "serial":
         return SerialExecutor()
-    if backend == "process":
-        if workers == 1:
-            return SerialExecutor()
-        return ProcessExecutor(workers, cell_timeout=cell_timeout)
-    if backend == "sharded":
-        return ChunkedShardExecutor(
-            workers, shard_size=shard_size, shard_timeout=cell_timeout
-        )
-    if backend == "remote":
+    if backend == "fabric":
         from .remote import RemoteExecutor  # executors <-> remote layering
 
-        return RemoteExecutor(workers_hint=workers, shard_size=shard_size)
+        lease = {} if cell_timeout is None else {"lease_cell_s": cell_timeout}
+        return RemoteExecutor(
+            workers_hint=workers, local_workers=workers, shard_size=shard_size, **lease
+        )
     raise SweepError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")

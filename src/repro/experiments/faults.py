@@ -1,7 +1,7 @@
 """Deterministic fault injection for the sweep fabric.
 
-The robustness machinery in :mod:`repro.experiments.executors` and
-:mod:`repro.experiments.remote` exists to survive sick workers: processes
+The robustness machinery in :mod:`repro.experiments.remote` exists to
+survive sick workers: processes
 that die mid-shard, hang without heartbeating, crawl, or drop their
 connection.  This module makes those failures *reproducible*: a
 :class:`FaultPlan` is a list of rules, each naming an injection point, the
@@ -24,9 +24,9 @@ Spec grammar (comma-separated rules)::
   remote worker's connection-facing points, where the worker catches it and
   reconnects).
 * ``POINT`` — a dotted site name.  The shipped points are ``worker.cell``
-  and ``worker.shard`` (fired by ``run_cell_monitored`` /
-  ``run_shard_monitored`` before the work) and ``worker.result`` /
-  ``worker.connect`` (fired by the remote worker runtime).  The *storage*
+  and ``worker.shard`` (fired by ``run_shard_monitored`` before the work)
+  and ``worker.result`` / ``worker.connect`` (fired by the worker
+  runtime).  The *storage*
   points are ``store.append``, ``store.rotate``, and ``store.seal``,
   consulted by :class:`repro.experiments.store.ResultStore`.
 * ``WHEN`` — ``n`` (exactly the n-th arrival at the point, 1-based),
@@ -47,17 +47,16 @@ construction — the damage surfaces as cache misses, an index rebuild, or a
 
 Scoping: process faults (``kill``/``hang``/``slow``/``drop``) only fire in
 processes explicitly marked as *workers* (:func:`mark_worker`, called by
-the remote worker runtime and by the pool initializer the hardened
-executors install).  The sweep parent — including its serial and
-in-process execution paths, and the inline fallbacks the recovery
-machinery degrades to — is never marked, so a chaos plan can never kill
-the coordinator.  Storage faults instead fire in any process marked via
+the worker runtime, :func:`repro.experiments.remote.run_worker`, in every
+local or external fabric worker).  The sweep parent — including its serial
+path and the inline drain the recovery machinery degrades to — is never
+marked, so a chaos plan can never kill the coordinator.  Storage faults instead fire in any process marked via
 :func:`mark_storage` *or* :func:`mark_worker` — the coordinator owns the
 store, so ``repro sweep --chaos`` with a storage plan marks itself; the
 coordinator's immunity to process faults is preserved because
 :func:`fire` skips storage kinds and :func:`storage_fault` never kills
-anything.  Arrival counts are per process: every pool worker or remote
-worker counts its own arrivals, which keeps plans deterministic for a
+anything.  Arrival counts are per process: every worker counts its own
+arrivals, which keeps plans deterministic for a
 fixed worker (a worker's n-th shard is its n-th shard regardless of what
 the rest of the fleet does).
 
@@ -92,7 +91,6 @@ __all__ = [
     "mark_storage",
     "mark_worker",
     "parse_plan",
-    "pool_worker_init",
     "reset",
     "storage_fault",
     "STORAGE_KINDS",
@@ -106,9 +104,9 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: expected to kill or abandon the hung process, not wait it out.
 DEFAULT_HANG_S = 600.0
 
-#: The plan ``repro sweep --chaos`` installs when none is given: every pool
-#: worker SIGKILLs itself on its second shard (exercising broken-pool
-#: recovery and resubmission) and crawls briefly on its third cell.  Both
+#: The plan ``repro sweep --chaos`` installs when none is given: every local
+#: worker SIGKILLs itself on its second shard (exercising worker replacement
+#: and lease re-covery) and crawls briefly on its third cell.  Both
 #: kinds leave results bit-identical to serial execution — the smoke mode
 #: asserts completion, not degradation.
 DEFAULT_CHAOS_PLAN = "kill@worker.shard:2,slow@worker.cell:3:0.02"
@@ -275,8 +273,7 @@ def mark_worker(spec: Optional[str] = None) -> None:
 
     ``spec`` defaults to the :data:`FAULTS_ENV` environment variable; an
     absent/empty spec still marks the process (harmlessly — firing a point
-    against no plan is a no-op), so the call is safe as an unconditional
-    pool initializer.
+    against no plan is a no-op), so every worker calls it unconditionally.
     """
     global _IS_WORKER
     _IS_WORKER = True
@@ -284,11 +281,6 @@ def mark_worker(spec: Optional[str] = None) -> None:
         spec = os.environ.get(FAULTS_ENV, "")
     if spec:
         install_plan(parse_plan(spec))
-
-
-def pool_worker_init() -> None:
-    """`ProcessPoolExecutor` initializer: scope faults to pool workers."""
-    mark_worker()
 
 
 def reset() -> None:

@@ -1,14 +1,15 @@
-"""The distributed sweep fabric: coordinator, workers, leases, heartbeats.
+"""The sweep fabric: coordinator, workers, leases, heartbeats.
 
-This module takes the sweep stack off one machine.  A
-:class:`RemoteExecutor` is a :class:`~repro.experiments.executors.\
-SweepExecutor` that *serves* shards instead of forking them: it binds a TCP
-socket, plans shards exactly like the local sharded backend, and hands them
-to whatever worker processes connect (``repro worker --connect HOST:PORT``).
-Results stream back into the sweep's crash-safe
-:class:`~repro.experiments.store.ResultStore` as they arrive, so
-``--resume`` doubles as the recovery path for killed coordinators *and*
-killed workers alike.
+Every multi-process sweep runs here.  A :class:`RemoteExecutor` is a
+:class:`~repro.experiments.executors.SweepExecutor` that *serves* shards: it
+binds a TCP socket, plans shards (:func:`~repro.experiments.executors.\
+plan_shards`), and hands them to whatever worker processes connect.  Those
+are either a local fleet the executor forks itself (``repro sweep --workers
+N``: ``local_workers=N`` on a loopback port) or external ``repro worker
+--connect HOST:PORT`` processes (``repro sweep --listen``).  Results stream
+back into the sweep's crash-safe :class:`~repro.experiments.store.\
+ResultStore` as they arrive, so ``--resume`` doubles as the recovery path
+for killed coordinators *and* killed workers alike.
 
 Failure semantics (the design inputs, not afterthoughts):
 
@@ -28,28 +29,39 @@ Failure semantics (the design inputs, not afterthoughts):
   result handler fires exactly once per cell (the backend-equivalence
   contract).  Duplicate results are dropped, which is safe because every
   backend produces records identical to serial execution.
-* **Graceful degradation** — if no live worker exists for
-  ``local_fallback_after_s``, the coordinator starts draining shards
-  inline, so a sweep never hangs on an empty (or fully dead) fleet.
+* **Local fleet supervision** — a local worker whose process exits, or
+  whose lease or heartbeats the scheduler gave up on, is SIGKILLed (if
+  still alive) and replaced under a fresh worker id; after
+  :data:`MAX_UNPRODUCTIVE_REPLACEMENTS` consecutive replacements that
+  finish no shard the fleet is left to shrink.
+* **Graceful degradation** — once a local fleet is gone, or when no live
+  worker exists for ``local_fallback_after_s``, the coordinator drains
+  shards inline, so a sweep never hangs on an empty (or fully dead) fleet.
+  A cell that already outran a lease is quarantined rather than drained:
+  inline, no deadline could stop it.
 
-Wire protocol: newline-delimited JSON messages over TCP.  Cells travel as
-plain JSON (:func:`cell_to_wire` / :func:`cell_from_wire` — the same
-schema-stable identity that keys the result store, so a decoded cell's
-``key()`` matches the coordinator's); the hash-consed run substrate is
-never shipped — each worker rebuilds scenarios locally inside its own
-intern pool (:func:`~repro.experiments.executors.run_shard_monitored`), per
-the interning invariants.  Worker metric deltas ride back on result
-messages, so sweep telemetry stays backend-identical.
+Wire protocol: newline-delimited JSON messages over TCP, read with blocking
+reads (shutdown unblocks them).  Cells travel as plain JSON
+(:func:`cell_to_wire` / :func:`cell_from_wire` — the same schema-stable
+identity that keys the result store, so a decoded cell's ``key()`` matches
+the coordinator's); the hash-consed run substrate is never shipped — each
+worker rebuilds scenarios locally inside its own intern pool
+(:func:`~repro.experiments.executors.run_shard_monitored`), per the
+interning invariants.  Worker metric deltas ride back on result messages,
+so sweep telemetry stays backend-identical.
 
 The deterministic chaos harness (:mod:`repro.experiments.faults`) hooks the
 worker runtime at ``worker.connect`` / ``worker.shard`` / ``worker.cell`` /
 ``worker.result``: tests and ``repro sweep --chaos`` script kills, hangs,
-slowdowns, and dropped connections at exact points.
+slowdowns, and dropped connections at exact points.  :func:`run_worker`
+marks its own process as a fault-scoped worker, so the coordinator (and
+its inline drain) stays immune.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import queue
 import socket
@@ -60,12 +72,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs.trace import tracing_enabled
-from ..simulation.interning import intern_pool
 from . import faults
 from .executors import ResultHandler, SweepExecutor, plan_shards, run_shard_monitored
-from .runner import SweepCell, SweepError, error_record, execute_cell_inline
+from .runner import SweepCell, SweepError, error_record
 
 __all__ = [
+    "MAX_UNPRODUCTIVE_REPLACEMENTS",
     "FabricScheduler",
     "RemoteExecutor",
     "WorkerFailure",
@@ -107,9 +119,9 @@ def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
 def read_message(reader) -> Optional[Dict[str, Any]]:
     """Read one message from a buffered reader; ``None`` on EOF.
 
-    Raises ``TimeoutError`` when the underlying socket has a timeout and it
-    elapses; malformed lines raise ``ValueError`` (a peer speaking another
-    protocol should fail loudly, not silently stall).
+    Malformed lines raise ``ValueError`` (a peer speaking another protocol
+    should fail loudly, not silently stall).  Both ends read blocking: a
+    socket file that once timed out refuses every later read.
     """
     line = reader.readline()
     if not line:
@@ -196,7 +208,10 @@ class FabricScheduler:
     * a failed shard (dead worker, expired lease, severed connection)
       requeues with exponential backoff, splits into single-cell shards
       after two failures, and sheds cells that have failed on
-      ``max_cell_failures`` distinct workers into ``quarantined``.
+      ``max_cell_failures`` distinct workers into ``quarantined``;
+    * a cell that outran a lease (expired, or its worker went silent) is
+      never handed out for inline execution: :meth:`take_local`
+      quarantines it instead.
     """
 
     def __init__(
@@ -236,6 +251,11 @@ class FabricScheduler:
         #: index -> distinct workers whose assignment of this cell failed.
         self._cell_failures: Dict[int, Set[str]] = {}
         self._lease_seq = 0
+        #: Workers the scheduler gave up on since the last :meth:`evictions`.
+        self._evicted: Set[str] = set()
+        #: Cells that failed a lease by outrunning it (expired, or its worker
+        #: went silent): never run inline, where no deadline could stop them.
+        self._overran: Set[int] = set()
         self.counts: Dict[str, int] = {}
         self.events: List[Dict[str, Any]] = []
 
@@ -301,10 +321,17 @@ class FabricScheduler:
 
         ``generation`` guards reconnecting workers — a stale connection's
         teardown must not kill the fresh session that already said hello.
-        Returns the cells newly quarantined by requeueing its leases.
+        Once the sweep is :attr:`finished`, a disconnect is the clean
+        shutdown, not a death.  Returns the cells newly quarantined by
+        requeueing its leases.
         """
         worker = self._workers.get(worker_id)
-        if worker is None or worker.generation != generation or not worker.alive:
+        if (
+            worker is None
+            or worker.generation != generation
+            or not worker.alive
+            or self.finished
+        ):
             return []
         return self._kill_worker(worker, now, reason="disconnect")
 
@@ -424,13 +451,10 @@ class FabricScheduler:
                 continue
             failed_on = self._cell_failures.setdefault(index, set())
             failed_on.add(lease.worker)
+            if reason in ("lease-expired", "missed-heartbeats"):
+                self._overran.add(index)
             if len(failed_on) >= self.max_cell_failures:
-                self._quarantined.add(index)
-                _C_QUARANTINED.value += 1
-                self._count("cells_quarantined")
-                self._event(now, "cell-quarantined", index=index,
-                            distinct_workers=len(failed_on))
-                quarantined.append((index, cell, len(failed_on)))
+                quarantined.append(self._quarantine(index, cell, now))
             else:
                 keep.append((index, cell))
         if keep:
@@ -457,6 +481,14 @@ class FabricScheduler:
                 self._queue.append(shard)
         return quarantined
 
+    def _quarantine(self, index: int, cell: SweepCell, now: float) -> Tuple[int, SweepCell, int]:
+        distinct = len(self._cell_failures.get(index, ()))
+        self._quarantined.add(index)
+        _C_QUARANTINED.value += 1
+        self._count("cells_quarantined")
+        self._event(now, "cell-quarantined", index=index, distinct_workers=distinct)
+        return index, cell, distinct
+
     def expire(self, now: float) -> List[Tuple[int, SweepCell, int]]:
         """Advance liveness: dead workers and expired leases requeue shards.
 
@@ -468,6 +500,7 @@ class FabricScheduler:
         quarantined: List[Tuple[int, SweepCell, int]] = []
         for worker in self._workers.values():
             if worker.alive and now - worker.last_seen > self.heartbeat_timeout_s:
+                self._evicted.add(worker.worker_id)
                 quarantined.extend(
                     self._kill_worker(worker, now, reason="missed-heartbeats")
                 )
@@ -477,25 +510,48 @@ class FabricScheduler:
                 self._count("leases_expired")
                 self._event(now, "lease-expired", worker=lease.worker,
                             lease=lease.lease_id)
+                self._evicted.add(lease.worker)
                 quarantined.extend(self._fail_lease(lease, now, reason="lease-expired"))
         return quarantined
 
+    def evictions(self) -> Set[str]:
+        """Workers :meth:`expire` gave up on since the last call.
+
+        A worker lands here when it missed its heartbeats or held an expired
+        lease; the coordinator replaces such workers when it owns their
+        processes (a local fleet).  Disconnects are not evictions: a severed
+        connection may reconnect under the same id.
+        """
+        evicted, self._evicted = self._evicted, set()
+        return evicted
+
     # -- local fallback ----------------------------------------------------
 
-    def take_local(self, now: float) -> Optional[List[Tuple[int, SweepCell]]]:
-        """Pop one queued shard for inline execution (ignores backoff)."""
+    def take_local(
+        self, now: float
+    ) -> Optional[Tuple[List[Tuple[int, SweepCell]], List[Tuple[int, SweepCell, int]]]]:
+        """Pop one queued shard for inline execution (ignores backoff).
+
+        Returns ``(cells to run, cells quarantined)``, or ``None`` once the
+        queue is empty.  A cell that already outran a lease is quarantined
+        instead of run: inline, nothing could stop it hanging the sweep.
+        """
         if not self._queue:
             return None
         position = min(
             range(len(self._queue)), key=lambda i: self._queue[i].ready_at
         )
         shard = self._queue.pop(position)
-        cells = [
-            (index, cell)
-            for index, cell in shard.cells
-            if index not in self._done and index not in self._quarantined
-        ]
-        return cells or None
+        run: List[Tuple[int, SweepCell]] = []
+        quarantined: List[Tuple[int, SweepCell, int]] = []
+        for index, cell in shard.cells:
+            if index in self._done or index in self._quarantined:
+                continue
+            if index in self._overran:
+                quarantined.append(self._quarantine(index, cell, now))
+            else:
+                run.append((index, cell))
+        return run, quarantined
 
     def record_local(
         self, results: Sequence[Tuple[int, SweepCell, Dict[str, Any]]]
@@ -517,7 +573,7 @@ class FabricScheduler:
     def summary(self) -> Dict[str, Any]:
         """Liveness and retry accounting for the sweep telemetry record."""
         return {
-            "backend": "remote",
+            "backend": "fabric",
             "cells": len(self._cells),
             "completed": len(self._done),
             "quarantined": len(self._quarantined),
@@ -538,18 +594,129 @@ class FabricScheduler:
 # The coordinator.
 # ---------------------------------------------------------------------------
 
-#: How long a connection reader blocks before re-checking the stop flag.
-_CONN_READ_TIMEOUT_S = 0.5
+#: Consecutive local-worker replacements that finish no shard before the
+#: coordinator stops replacing and lets the fleet shrink (then drains
+#: inline once it is gone).
+MAX_UNPRODUCTIVE_REPLACEMENTS = 3
+
+#: How long a local worker re-dials a vanished coordinator before exiting:
+#: a live loopback coordinator answers at once.
+_LOCAL_CONNECT_TIMEOUT_S = 1.0
+
+#: How often a local worker checks that the coordinator process still
+#: exists (it exits once orphaned).
+_PARENT_CHECK_S = 0.5
+
+#: How long the end of a sweep waits for local workers to exit on their own
+#: (they get ``shutdown`` on their next message) before SIGKILLing them.
+_FLEET_GRACE_S = 2.0
+
+
+def _run_local_worker(listener: socket.socket, connect: str, worker_id: str) -> int:
+    """Entry point of a forked local worker: :func:`run_worker`, tied to
+    the life of the coordinator process.
+
+    The fork copied the coordinator's sockets.  Closing the listener copy
+    makes a re-dial after the coordinator closed it fail instead of queueing
+    on a socket only this worker holds.  Copies of other workers'
+    connections may still keep a dead coordinator's links open, so the
+    worker also exits as soon as it is orphaned.
+    """
+    listener.close()
+    parent = os.getppid()
+
+    def exit_when_orphaned() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_CHECK_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=exit_when_orphaned, name="repro-worker-parent-watch", daemon=True
+    ).start()
+    return run_worker(connect, worker_id=worker_id, connect_timeout_s=_LOCAL_CONNECT_TIMEOUT_S)
+
+
+class _LocalFleet:
+    """The worker processes a local fabric sweep forks for itself.
+
+    Each runs :func:`run_worker` (via :func:`_run_local_worker`) against the
+    coordinator's loopback port under a fresh id, started with the default
+    :mod:`multiprocessing` start method.  :meth:`supervise` replaces dead
+    or evicted workers; :meth:`stop` joins every process, so none outlives
+    the sweep and each one's resource usage is accounted to the sweep
+    process.
+    """
+
+    def __init__(self, listener: socket.socket, size: int):
+        self.listener = listener
+        address = listener.getsockname()
+        self.connect = f"{address[0]}:{address[1]}"
+        self.procs: Dict[str, Any] = {}
+        self._spawned = 0
+        self._unproductive = 0
+        self._results_seen = 0
+        for _ in range(size):
+            self._spawn()
+
+    def _spawn(self) -> None:
+        self._spawned += 1
+        worker_id = f"local-{self._spawned}"
+        proc = multiprocessing.Process(
+            target=_run_local_worker,
+            args=(self.listener, self.connect, worker_id),
+            name=f"repro-{worker_id}",
+            daemon=True,
+        )
+        proc.start()
+        self.procs[worker_id] = proc
+
+    def supervise(self, evicted: Set[str], results_received: int) -> int:
+        """Replace workers that exited or were evicted; returns how many."""
+        if results_received > self._results_seen:
+            self._results_seen = results_received
+            self._unproductive = 0
+        replaced = 0
+        for worker_id, proc in list(self.procs.items()):
+            if proc.is_alive() and worker_id not in evicted:
+                continue
+            if proc.is_alive():
+                proc.kill()
+            proc.join()
+            del self.procs[worker_id]
+            if self._unproductive < MAX_UNPRODUCTIVE_REPLACEMENTS:
+                self._unproductive += 1
+                # Forks while the coordinator's threads run: safe because
+                # the child only runs run_worker, which takes none of the
+                # locks those threads hold.
+                self._spawn()
+                replaced += 1
+        return replaced
+
+    def stop(self) -> None:
+        deadline = time.monotonic() + _FLEET_GRACE_S
+        for proc in self.procs.values():
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for proc in self.procs.values():
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        self.procs.clear()
 
 
 class RemoteExecutor(SweepExecutor):
-    """Serve sweep shards to remote workers over a socket wire protocol.
+    """Serve sweep shards to worker processes over a socket wire protocol.
 
     Construction binds the listening socket immediately (``port=0`` picks an
     ephemeral port), so :attr:`address` is known before :meth:`execute`
-    starts and workers may connect early — they poll for work, and the
-    coordinator answers ``wait`` until the sweep begins.  One executor
+    starts and workers may connect early — they wait in the listen backlog
+    until the sweep begins.  A worker's ``ready`` is answered with a shard
+    or, once the sweep is over, ``shutdown``.  One executor
     serves one ``execute()`` call; the server socket closes when it returns.
+
+    With ``local_workers=N`` the executor forks its own fleet of ``N``
+    workers when the sweep starts (before it accepts connections) and
+    supervises it (:class:`_LocalFleet`); with ``0`` it only serves workers
+    that connect from outside.
 
     All scheduler state is guarded by one lock; connection threads only
     translate messages into scheduler calls and queue deliveries — the
@@ -559,7 +726,7 @@ class RemoteExecutor(SweepExecutor):
     execution when no live workers remain.
     """
 
-    name = "remote"
+    name = "fabric"
 
     def __init__(
         self,
@@ -567,6 +734,7 @@ class RemoteExecutor(SweepExecutor):
         port: int = 0,
         *,
         workers_hint: int = 2,
+        local_workers: int = 0,
         shard_size: Optional[int] = None,
         lease_base_s: float = 10.0,
         lease_cell_s: float = 5.0,
@@ -579,7 +747,10 @@ class RemoteExecutor(SweepExecutor):
     ):
         if workers_hint < 1:
             raise SweepError(f"workers hint must be >= 1, got {workers_hint}")
+        if local_workers < 0:
+            raise SweepError(f"local workers must be >= 0, got {local_workers}")
         self.workers_hint = workers_hint
+        self.local_workers = local_workers
         self.shard_size = shard_size
         self.lease_base_s = lease_base_s
         self.lease_cell_s = lease_cell_s
@@ -596,7 +767,10 @@ class RemoteExecutor(SweepExecutor):
         self._server.settimeout(0.2)
         self.address: Tuple[str, int] = self._server.getsockname()[:2]
         self._scheduler: Optional[FabricScheduler] = None
+        self._fleet: Optional[_LocalFleet] = None
         self._lock = threading.Lock()
+        #: Wakes connections long-polling for a shard (see _await_assignment).
+        self._wakeup = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._conns: List[socket.socket] = []
         self._threads: List[threading.Thread] = []
@@ -609,9 +783,11 @@ class RemoteExecutor(SweepExecutor):
                 self._execute(pending, handle)
         finally:
             self._shutdown()
+            if self._fleet is not None:
+                self._fleet.stop()
             if self._scheduler is not None:
-                # Flushed once, after shutdown: connection teardown records
-                # the final worker-dead events.
+                # Flushed once, after shutdown: connection teardown may still
+                # record worker-dead events.
                 for event in self._scheduler.events:
                     self.worker_telemetry.add_worker_event(event)
 
@@ -636,6 +812,10 @@ class RemoteExecutor(SweepExecutor):
             backoff_max_s=self.backoff_max_s,
         )
         self._scheduler = scheduler
+        if self.local_workers:
+            # Forked before any coordinator thread exists; they queue in the
+            # listen backlog until the accept thread starts.
+            self._fleet = _LocalFleet(self._server, self.local_workers)
         deliveries: "queue.Queue[Tuple[str, Any]]" = queue.Queue()
         accept_thread = threading.Thread(
             target=self._accept_loop,
@@ -655,18 +835,30 @@ class RemoteExecutor(SweepExecutor):
             with self._lock:
                 quarantined = scheduler.expire(now)
                 live = scheduler.live_workers(now)
+                evicted = scheduler.evictions()
+                results_received = scheduler.counts.get("results_received", 0)
+                finished = scheduler.finished
             self._emit_quarantined(quarantined, handle)
+            if finished:
+                continue  # the expiry quarantined the last cells
+            if self._fleet is not None:
+                replaced = self._fleet.supervise(evicted, results_received)
+                if replaced:
+                    self._bump("workers_replaced", replaced)
             if live:
                 no_workers_since = None
-            else:
-                if no_workers_since is None:
-                    no_workers_since = now
-                if (
-                    self.local_fallback_after_s is not None
-                    and now - no_workers_since >= self.local_fallback_after_s
-                ):
-                    self._run_local_shard(scheduler, handle)
-                    continue
+            elif no_workers_since is None:
+                no_workers_since = now
+            # Drain inline once the local fleet is gone (replacing it
+            # stopped paying), or after the no-worker fallback delay.
+            fleet_gone = self._fleet is not None and not self._fleet.procs
+            fallback_due = (
+                no_workers_since is not None
+                and self.local_fallback_after_s is not None
+                and now - no_workers_since >= self.local_fallback_after_s
+            )
+            if (fleet_gone or fallback_due) and self._run_local_shard(scheduler, handle):
+                continue
             try:
                 event = deliveries.get(timeout=self.poll_s)
             except queue.Empty:
@@ -710,32 +902,34 @@ class RemoteExecutor(SweepExecutor):
                 ),
             )
 
-    def _run_local_shard(self, scheduler: FabricScheduler, handle: ResultHandler) -> None:
-        """Graceful degradation: drain one shard inline (no live workers)."""
+    def _run_local_shard(self, scheduler: FabricScheduler, handle: ResultHandler) -> bool:
+        """Graceful degradation: drain one shard inline (no live workers).
+
+        Returns whether a shard was queued to drain (a dead worker's shard
+        is queued again only once its disconnect or lease expiry lands).
+        """
         with self._lock:
-            shard = scheduler.take_local(time.monotonic())
+            taken = scheduler.take_local(time.monotonic())
+        if taken is None:
+            return False
+        shard, quarantined = taken
+        self._emit_quarantined(quarantined, handle)
         if not shard:
-            return
-        started = time.perf_counter()
-        results: List[Tuple[int, SweepCell, Dict[str, Any]]] = []
-        with intern_pool():
-            base_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
-            for index, cell in shard:
-                try:
-                    record, _ = execute_cell_inline(cell, base_cache=base_cache)
-                except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                    record = error_record(cell, exc)
-                results.append((index, cell, record))
+            return True
+        payload = run_shard_monitored([cell for _, cell in shard])
         with self._lock:
-            fresh = scheduler.record_local(results)
+            fresh = scheduler.record_local(
+                [(index, cell, record) for (index, cell), record in zip(shard, payload["records"])]
+            )
         # In-process execution: metrics already landed in the parent
         # registry, so record shard wall-time metadata only.
         self.worker_telemetry.add_shard(
-            len(shard), time.perf_counter() - started, in_process=True, local_fallback=True
+            len(shard), payload["wall_s"], in_process=True, local_fallback=True
         )
         self._bump("local_fallback_shards")
         for index, cell, record in fresh:
             handle(index, cell, record)
+        return True
 
     # -- connection handling -----------------------------------------------
 
@@ -749,8 +943,14 @@ class RemoteExecutor(SweepExecutor):
                 continue
             except OSError:
                 return  # server socket closed: coordinator shutting down
-            conn.settimeout(_CONN_READ_TIMEOUT_S)
+            # Blocking reads: a worker may compute for longer than any read
+            # timeout between messages, and a timed-out socket file refuses
+            # every later read.  _shutdown() unblocks readers instead.
+            conn.settimeout(None)
             with self._lock:
+                if self._stop.is_set():
+                    conn.close()
+                    return
                 self._conns.append(conn)
             thread = threading.Thread(
                 target=self._serve_connection,
@@ -774,12 +974,10 @@ class RemoteExecutor(SweepExecutor):
             while not self._stop.is_set():
                 try:
                     message = read_message(reader)
-                except (TimeoutError, socket.timeout):
-                    continue
                 except (OSError, ValueError):
                     break
                 if message is None:
-                    break  # EOF: the worker hung up
+                    break  # EOF: the worker hung up (or shutdown unblocked us)
                 mtype = message.get("type")
                 now = time.monotonic()
                 response: Optional[Dict[str, Any]] = None
@@ -790,14 +988,9 @@ class RemoteExecutor(SweepExecutor):
                     elif mtype == "heartbeat":
                         scheduler.heartbeat(str(message.get("worker")), now)
                     elif mtype == "ready":
-                        wid = str(message.get("worker"))
-                        if scheduler.finished:
-                            response = {"type": "shutdown"}
-                        else:
-                            response = scheduler.try_assign(wid, now) or {
-                                "type": "wait",
-                                "poll_s": max(self.poll_s, 0.05),
-                            }
+                        response = self._await_assignment(
+                            scheduler, str(message.get("worker"))
+                        )
                     elif mtype == "result":
                         wid = str(message.get("worker"))
                         results = [
@@ -814,6 +1007,8 @@ class RemoteExecutor(SweepExecutor):
                         deliveries.put(("payload", (payload, len(results))))
                         if fresh:
                             deliveries.put(("fresh", fresh))
+                        if scheduler.finished:
+                            self._wakeup.notify_all()
                 if response is not None:
                     try:
                         send_message(conn, response)
@@ -837,21 +1032,42 @@ class RemoteExecutor(SweepExecutor):
                 if quarantined:
                     deliveries.put(("quarantined", quarantined))
 
+    def _await_assignment(self, scheduler: FabricScheduler, worker_id: str) -> Dict[str, Any]:
+        """Answer ``ready``: the next shard for this worker, or ``shutdown``.
+
+        A long poll: with nothing ready (every shard leased or backing off)
+        the connection waits — re-checking every ``poll_s`` — instead of
+        telling the worker to sleep and ask again, so an idle worker hears
+        about requeued shards and the end of the sweep at once.  Called with
+        the lock held; waiting releases it.  Every pass touches the worker
+        (``try_assign``), so a waiting worker stays live although its
+        heartbeats go unread meanwhile.
+        """
+        while not (self._stop.is_set() or scheduler.finished):
+            assignment = scheduler.try_assign(worker_id, time.monotonic())
+            if assignment is not None:
+                return assignment
+            self._wakeup.wait(self.poll_s)
+        return {"type": "shutdown"}
+
     def _shutdown(self) -> None:
-        self._stop.set()
+        with self._lock:
+            self._stop.set()
+            self._wakeup.notify_all()
+            conns = list(self._conns)
         try:
             self._server.close()
         except OSError:
             pass
-        with self._lock:
-            conns = list(self._conns)
         for conn in conns:
             try:
                 send_message(conn, {"type": "shutdown"})
             except OSError:
                 pass
             try:
-                conn.close()
+                # Wakes this connection's blocked reader (EOF), whichever
+                # processes still hold a descriptor for the socket.
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
         for thread in self._threads:
@@ -894,11 +1110,9 @@ def run_worker(
     *,
     worker_id: Optional[str] = None,
     heartbeat_s: float = 1.0,
-    poll_s: float = 0.1,
     faults_spec: Optional[str] = None,
     connect_timeout_s: float = 30.0,
     log: Optional[Callable[[str], None]] = None,
-    snapshot_path: Optional[str] = None,
 ) -> int:
     """The worker main loop: connect, heartbeat, execute leases, repeat.
 
@@ -909,27 +1123,11 @@ def run_worker(
     dropped connections deterministically; a dropped connection (injected or
     real) reconnects under the same worker id and the lease machinery
     re-covers whatever was in flight.
-
-    ``snapshot_path`` warm-starts the worker from a snapshot written by
-    ``repro store snapshot`` (:mod:`repro.experiments.snapshot`): the intern
-    pool is pre-populated and base scenarios pre-built before the first
-    lease, so first-shard latency on a big sweep drops from a rebuild to a
-    file load.  A missing or corrupt snapshot is reported and ignored —
-    warm-start is an optimisation, never a correctness dependency.
     """
     faults.mark_worker(faults_spec)
     address = _parse_address(connect)
     wid = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     notify = log or (lambda message: None)
-    base_cache = None
-    if snapshot_path is not None:
-        from .snapshot import SnapshotError, load_snapshot
-
-        try:
-            base_cache = load_snapshot(snapshot_path)
-            notify(f"worker {wid}: warm start ({len(base_cache)} bases)")
-        except SnapshotError as exc:
-            notify(f"worker {wid}: snapshot ignored: {exc}")
     deadline = time.monotonic() + connect_timeout_s
     first_session = True
     while True:
@@ -944,9 +1142,7 @@ def run_worker(
             sock,
             wid,
             heartbeat_s=heartbeat_s,
-            poll_s=poll_s,
             notify=notify,
-            base_cache=base_cache,
         )
         if outcome == "shutdown":
             notify(f"worker {wid}: shutdown received, exiting")
@@ -961,9 +1157,7 @@ def _worker_session(
     wid: str,
     *,
     heartbeat_s: float,
-    poll_s: float,
     notify: Callable[[str], None],
-    base_cache: Optional[Dict[Any, Any]] = None,
 ) -> str:
     """One connection's lifetime; returns ``"shutdown"`` or ``"reconnect"``."""
     write_lock = threading.Lock()
@@ -980,10 +1174,18 @@ def _worker_session(
             try:
                 send({"type": "heartbeat", "worker": wid})
             except OSError:
+                # The coordinator is gone: wake the blocked reader too.
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 return
 
     reader = sock.makefile("rb")
-    sock.settimeout(max(2.0, heartbeat_s * 3))
+    # Blocking reads (see RemoteExecutor._accept_loop): the coordinator
+    # answers ``ready`` once it has a shard (or the sweep is over), and a
+    # severed link reads as EOF.
+    sock.settimeout(None)
     heartbeat_thread = threading.Thread(
         target=heartbeat_loop, name="repro-worker-heartbeat", daemon=True
     )
@@ -1001,8 +1203,6 @@ def _worker_session(
                 return "reconnect"
             try:
                 message = read_message(reader)
-            except (TimeoutError, socket.timeout):
-                continue  # coordinator busy: re-announce readiness
             except (OSError, ValueError):
                 return "reconnect"
             if message is None:
@@ -1010,9 +1210,6 @@ def _worker_session(
             mtype = message.get("type")
             if mtype == "shutdown":
                 return "shutdown"
-            if mtype == "wait":
-                time.sleep(float(message.get("poll_s") or poll_s))
-                continue
             if mtype != "assign":
                 continue
             entries = message.get("cells", ())
@@ -1020,12 +1217,7 @@ def _worker_session(
             cells = [cell_from_wire(entry["cell"]) for entry in entries]
             notify(f"worker {wid}: lease {message.get('lease')} ({len(cells)} cells)")
             try:
-                # A warm-started worker keeps its snapshot-populated process
-                # pool (fresh_pool=False); cold workers scope a pool per
-                # shard as before.  Results are identical either way.
-                payload = run_shard_monitored(
-                    cells, base_cache=base_cache, fresh_pool=base_cache is None
-                )
+                payload = run_shard_monitored(cells)
                 _C_WORKER_SHARDS.value += 1
                 faults.fire("worker.result")
                 send(

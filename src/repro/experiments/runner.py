@@ -4,8 +4,8 @@ A *sweep* is a grid of cells ``scenario x adversary x seed x params``; each
 cell builds a registered scenario, overrides its delivery adversary, runs the
 simulation, applies the requested analysis passes, and yields one JSON
 record.  Execution is embarrassingly parallel and delegated to a pluggable
-backend (:mod:`repro.experiments.executors`): serial, per-cell process-pool
-dispatch, or chunked shards of structurally similar cells; every cell
+backend (:mod:`repro.experiments.executors`): serial, or shards of
+structurally similar cells on the worker fabric; every cell
 derives its own deterministic seed from its identity, so results are
 independent of backend, worker count and execution order.
 
@@ -249,7 +249,7 @@ def build_base_scenario(cell: SweepCell) -> Scenario:
 
     The base scenario depends only on ``(scenario, params)``, so shard
     workers cache it across cells that differ only in adversary or horizon
-    override (see :func:`repro.experiments.executors.run_shard`).
+    override (see :func:`repro.experiments.executors.run_shard_monitored`).
     """
     return get_scenario(cell.scenario).build(**cell.params_dict())
 
@@ -337,7 +337,7 @@ def execute_cell(cell: SweepCell) -> Tuple[Dict[str, Any], "Run"]:
     of the cell shares the hash-consed substrate (identity equality, cached
     causal pasts), and dropping the pool afterwards bounds worker memory
     across a long sweep.  Shard workers instead scope one pool around a whole
-    shard (:func:`repro.experiments.executors.run_shard`).
+    shard (:func:`repro.experiments.executors.run_shard_monitored`).
     """
     with intern_pool():
         return execute_cell_inline(cell)
@@ -463,10 +463,9 @@ def run_sweep(
     from :data:`~repro.experiments.executors.BACKENDS` or a ready
     :class:`~repro.experiments.executors.SweepExecutor`); freshly-computed
     records are persisted as they arrive, so an interrupted sweep loses at
-    most the in-flight work: one cell per worker on the serial/process
-    backends, up to one *shard* per worker on the sharded backend (workers
-    report whole shards — coarser checkpoint granularity is the price of the
-    amortisation).  ``resume=True`` first recovers the store from a torn
+    most the in-flight work: one cell on the serial backend, up to one
+    *shard* per worker on the fabric (workers report whole shards — coarser
+    checkpoint granularity is the price of the amortisation).  ``resume=True`` first recovers the store from a torn
     tail (atomic rewrite) and then relies on the normal cache scan, so a
     killed sweep re-executes exactly the cells whose records never reached
     the store.  A cell that raises yields a ``status: "error"`` record that
@@ -475,10 +474,10 @@ def run_sweep(
     requires ``resume``) turns stored errors back into pending cells, and a
     plain non-resume sweep always retries them (the fresh record, ok or
     error, supersedes the old one — newest per key wins).  ``cell_timeout``
-    bounds how long any one cell (or, on the sharded backend, shard) may
-    run in a pool worker before the pool is restarted and the work retried
-    — repeat offenders are quarantined as error records instead of hanging
-    the sweep.
+    is the fabric lease's per-cell budget: a worker holding a shard past
+    its lease is replaced and the shard re-served, and cells that fail on
+    too many distinct workers are quarantined as error records instead of
+    hanging the sweep.
 
     Every sweep also assembles a telemetry record (``kind:
     "sweep_telemetry"``): phase timings, per-shard wall times, worker
@@ -624,8 +623,8 @@ def run_sweep(
     }
     fabric = executor.fabric_summary() if hasattr(executor, "fabric_summary") else {}
     if fabric:
-        # Robustness accounting: pool restarts, retries, quarantines, and —
-        # on the remote backend — per-worker liveness and lease history.
+        # Robustness accounting on the fabric: worker replacements, retries,
+        # quarantines, per-worker liveness and lease history.
         telemetry["fabric"] = fabric
     if collector.worker_events:
         telemetry["worker_events"] = list(collector.worker_events)

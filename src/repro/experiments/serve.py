@@ -102,6 +102,10 @@ MAX_CELLS = 10_000
 #: reports the drop instead of growing without bound.
 _MAX_EVENTS = 20_000
 
+#: How often the HTTP loop checks for a shutdown request: ``stop()`` waits
+#: up to this long (``serve_forever``'s default is 0.5 s).
+_SHUTDOWN_POLL_S = 0.05
+
 
 # ---------------------------------------------------------------------------
 # Endpoint parsing — shared by `repro serve/sweep/worker` (the CLI renders
@@ -666,7 +670,10 @@ class SweepService:
         )
         self._runner.start()
         self._server_thread = threading.Thread(
-            target=server.serve_forever, name="repro-serve-http", daemon=True
+            target=server.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_S},
+            name="repro-serve-http",
+            daemon=True,
         )
         self._server_thread.start()
         return self.address

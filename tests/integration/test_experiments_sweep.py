@@ -120,13 +120,13 @@ class TestCliSubprocess:
             sys.executable, "-m", "repro", "sweep",
             "--scenario", "line-flood", "--adversary", "earliest,random",
             "--seeds", "2", "--set", "horizon=5",
-            "--backend", "sharded", "--workers", "2", "--store", store_path,
+            "--backend", "fabric", "--workers", "2", "--store", store_path,
         ]
         result = subprocess.run(
             args, capture_output=True, text=True, env=self._env(), timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert "[backend=sharded]" in result.stdout
+        assert "[backend=fabric]" in result.stdout
         # 4 cell records + 1 telemetry record.
         assert len(ResultStore(store_path)) == 5
 
@@ -219,6 +219,28 @@ class TestKillAndResume:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert f"0 executed, {len(cells)} cached" in out
+
+        # The killed sweep's local workers did not outlive it: they share its
+        # command line (forked), so none may still name this store.
+        assert _processes_naming(store_path, within_s=5.0) == []
+
+
+def _processes_naming(text, within_s):
+    """Pids whose command line contains ``text``, once that list is empty
+    or ``within_s`` has passed (Linux ``/proc``; elsewhere always empty)."""
+    deadline = time.time() + within_s
+    while True:
+        pids = []
+        for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+            try:
+                with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                    if text.encode() in handle.read():
+                        pids.append(int(entry))
+            except (OSError, ValueError):
+                continue
+        if not pids or time.time() >= deadline:
+            return pids
+        time.sleep(0.1)
 
 
 class TestSegmentDamageResume:

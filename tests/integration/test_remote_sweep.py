@@ -142,6 +142,32 @@ class TestRemoteExecutor:
         summary = executor.fabric_summary()
         assert summary["completed"] == len(cells)
         assert summary["quarantined"] == 0
+        # The clean shutdown after the last result is not a worker death.
+        assert "workers_dead" not in summary["counters"]
+        assert not any(e["event"] == "worker-dead" for e in summary["events"])
+
+    def test_long_shard_between_heartbeats_is_not_retried(self):
+        """A worker computing for longer than a second between heartbeats
+        stays connected: blocking reads never time out mid-shard, so the
+        shard is not re-run."""
+        cells = _grid(2)
+        expected = _serial_records(cells)
+        executor = _executor(shard_size=2)
+        handler = _CountingHandler()
+        worker = _thread_worker(
+            executor.address,
+            worker_id="patient",
+            heartbeat_s=2.0,
+            faults_spec="slow@worker.shard:1:1.2",
+        )
+        executor.execute(list(enumerate(cells)), handler)
+        worker.join(timeout=10.0)
+        assert handler.calls == len(cells)
+        for index, record in expected.items():
+            assert _strip(handler.records[index]) == _strip(record)
+        counters = executor.fabric_summary()["counters"]
+        assert counters.get("shard_retries", 0) == 0
+        assert counters["leases_granted"] == 1
 
     def test_killed_worker_recovers_bit_identical(self):
         """SIGKILL one of two real worker processes mid-shard; the survivor
@@ -299,7 +325,7 @@ class TestRemoteExecutor:
 
 
 class TestRemoteSweepCli:
-    """The CI shape: a `repro sweep --backend remote` coordinator process,
+    """The CI shape: a `repro sweep --listen` coordinator process,
     two worker processes, one killed by the fault harness — the sweep
     finishes, results match serial, and `--resume` recomputes nothing."""
 
@@ -321,7 +347,7 @@ class TestRemoteSweepCli:
                 "--horizon",
                 "4",
                 "--backend",
-                "remote",
+                "fabric",
                 "--listen",
                 "127.0.0.1:0",
                 "--workers",
@@ -330,7 +356,7 @@ class TestRemoteSweepCli:
                 "2",
                 "--lease-base-s",
                 "3",
-                "--lease-cell-s",
+                "--cell-timeout",
                 "1",
                 "--heartbeat-timeout-s",
                 "1.5",
@@ -412,7 +438,7 @@ class TestRemoteSweepCli:
         ]
         assert cli_main(base_args + ["--backend", "serial", "--workers", "1",
                                      "--store", serial_path]) == 0
-        assert cli_main(base_args + ["--backend", "sharded", "--workers", "2",
+        assert cli_main(base_args + ["--backend", "fabric", "--workers", "2",
                                      "--shard-size", "1", "--chaos",
                                      "--store", store_path]) == 0
         capsys.readouterr()
@@ -425,4 +451,4 @@ class TestRemoteSweepCli:
         telemetry = [
             r for r in chaos_store.records() if r.get("kind") == "sweep_telemetry"
         ]
-        assert telemetry and telemetry[0]["fabric"]["pool_restarts"] >= 1
+        assert telemetry and telemetry[0]["fabric"]["workers_replaced"] >= 1

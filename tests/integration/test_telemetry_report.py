@@ -3,10 +3,11 @@
 The tentpole invariants:
 
 * a sharded multi-worker sweep persists one ``sweep_telemetry`` record whose
-  metrics section merges counters shipped back by pool workers (engine memo
+  metrics section merges counters shipped back by fabric workers (engine memo
   hit rates, shard cells/s, store append counts);
-* in-process backends contribute their metrics exactly once (no double
-  counting between the parent registry delta and worker payloads);
+* in-process execution (serial, and the fabric coordinator's inline drain)
+  contributes its metrics exactly once (no double counting between the
+  parent registry delta and worker payloads);
 * ``REPRO_TRACE`` deep mode attaches structured span events to telemetry;
 * ``repro report --html`` renders the dashboard and ``--telemetry`` emits
   machine-readable JSON.
@@ -15,6 +16,8 @@ The tentpole invariants:
 import json
 
 from repro.experiments.cli import main as cli_main
+from repro.experiments.faults import FAULTS_ENV
+from repro.experiments.remote import RemoteExecutor
 from repro.experiments.runner import (
     TELEMETRY_KIND,
     TELEMETRY_STATUS,
@@ -40,7 +43,7 @@ class TestSweepTelemetry:
         cells = _cells()
         store = ResultStore(str(tmp_path / "results.jsonl"))
         outcome = run_sweep(
-            cells, store=store, workers=2, backend="sharded", shard_size=2
+            cells, store=store, workers=2, backend="fabric", shard_size=2
         )
         assert outcome.errors == 0
         assert outcome.telemetry is not None
@@ -49,9 +52,15 @@ class TestSweepTelemetry:
         assert persisted == outcome.telemetry
         assert persisted["kind"] == TELEMETRY_KIND
         assert persisted["status"] == TELEMETRY_STATUS
-        assert persisted["backend"] == "sharded"
+        assert persisted["backend"] == "fabric"
         assert persisted["workers"] == 2
         assert persisted["cells"]["executed"] == len(cells)
+
+        # A healthy fabric sweep: no retries, and the clean shutdown is not
+        # a worker death.
+        counters = persisted["fabric"]["counters"]
+        assert counters["leases_granted"] == len(persisted["shards"])
+        assert "shard_retries" not in counters and "workers_dead" not in counters
 
         # Metrics were shipped back by out-of-process workers and merged.
         assert persisted["worker_payloads"] > 0
@@ -83,24 +92,43 @@ class TestSweepTelemetry:
         # The telemetry record is JSON-clean (it round-trips the store).
         json.dumps(persisted)
 
-    def test_no_double_counting_across_backends(self, tmp_path):
-        """In-process backends must not absorb worker payload metrics twice."""
+    def test_no_double_counting_across_backends(self, tmp_path, monkeypatch):
+        """In-process execution must not absorb worker payload metrics twice.
+
+        The fabric runs cells in worker processes, except for the
+        coordinator's inline drain: every local worker here dies on its
+        first shard, so the coordinator runs the whole sweep in-process.
+        """
         cells = _cells(seeds=2)
+
+        def inline_drain():
+            monkeypatch.setenv(FAULTS_ENV, "kill@worker.shard:1")
+            return RemoteExecutor(
+                workers_hint=2, local_workers=2, local_fallback_after_s=None
+            )
+
+        runs = {
+            "serial": (lambda: "serial", 1),
+            "fabric-1": (lambda: "fabric", 1),
+            "fabric-2": (lambda: "fabric", 2),
+            "inline-drain": (inline_drain, 2),
+        }
         merged = {}
-        for backend, workers in (("serial", 1), ("sharded", 1), ("process", 2)):
-            store = ResultStore(str(tmp_path / f"{backend}.jsonl"))
-            outcome = run_sweep(cells, store=store, workers=workers, backend=backend)
+        for label, (backend, workers) in runs.items():
+            store = ResultStore(str(tmp_path / f"{label}.jsonl"))
+            outcome = run_sweep(cells, store=store, workers=workers, backend=backend())
             assert outcome.errors == 0
-            merged[backend] = outcome.telemetry["metrics"]["counters"]
-        for backend in ("sharded", "process"):
-            assert (
-                merged[backend]["engine.rows_computed"]
-                == merged["serial"]["engine.rows_computed"]
-            ), backend
-            assert (
-                merged[backend]["sweep.cells_executed"]
-                == merged["serial"]["sweep.cells_executed"]
-            ), backend
+            merged[label] = outcome.telemetry["metrics"]["counters"]
+            if label == "inline-drain":
+                fabric = outcome.telemetry["fabric"]
+                assert fabric["counters"]["local_fallback_cells"] == len(cells)
+                assert outcome.telemetry["worker_payloads"] == 0
+        for label in ("fabric-1", "fabric-2", "inline-drain"):
+            for counter in ("engine.rows_computed", "sweep.cells_executed"):
+                assert merged[label][counter] == merged["serial"][counter], (
+                    label,
+                    counter,
+                )
 
     def test_cached_rerun_and_telemetry_key_stability(self, tmp_path):
         cells = _cells(seeds=2)
@@ -145,7 +173,7 @@ class TestReportSurfaces:
         assert cli_main(
             ["sweep", "--scenario", "figure1,flooding",
              "--adversary", "earliest,latest", "--seeds", "2",
-             "--workers", "2", "--backend", "sharded", "--store", store_path]
+             "--workers", "2", "--backend", "fabric", "--store", store_path]
         ) == 0
         return store_path
 

@@ -439,12 +439,15 @@ class TestCli:
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_sweep_rejects_bad_shard_size(self, capsys):
-        assert cli_main(["sweep", "--backend", "sharded", "--shard-size", "0"]) == 2
+        assert cli_main(["sweep", "--backend", "fabric", "--shard-size", "0"]) == 2
         assert "--shard-size must be >= 1" in capsys.readouterr().err
 
     def test_sweep_rejects_shard_size_without_sharded_backend(self, capsys):
-        assert cli_main(["sweep", "--shard-size", "4"]) == 2
-        assert "--shard-size requires --backend sharded" in capsys.readouterr().err
+        assert cli_main(["sweep", "--workers", "1", "--shard-size", "4"]) == 2
+        assert "--shard-size requires the fabric backend" in capsys.readouterr().err
+        assert cli_main(["sweep", "--backend", "serial", "--shard-size", "4"]) == 2
+        assert cli_main(["sweep", "--backend", "serial", "--listen", "127.0.0.1:0"]) == 2
+        assert "--listen requires the fabric backend" in capsys.readouterr().err
 
     def test_sweep_single_worker_takes_serial_path(self, tmp_path, capsys):
         store_path = str(tmp_path / "results.jsonl")
@@ -458,11 +461,11 @@ class TestCli:
     def test_sweep_backend_sharded_and_resume(self, tmp_path, capsys):
         store_path = str(tmp_path / "results.jsonl")
         args = ["sweep", "--scenario", "figure1", "--adversary", "earliest,latest",
-                "--seeds", "2", "--workers", "2", "--backend", "sharded",
+                "--seeds", "2", "--workers", "2", "--backend", "fabric",
                 "--store", store_path]
         assert cli_main(args) == 0
         out = capsys.readouterr().out
-        assert "4 executed, 0 cached" in out and "[backend=sharded]" in out
+        assert "4 executed, 0 cached" in out and "[backend=fabric]" in out
         assert cli_main([*args, "--resume"]) == 0
         out = capsys.readouterr().out
         assert "0 executed, 4 cached" in out

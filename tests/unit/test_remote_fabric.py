@@ -185,6 +185,31 @@ class TestLiveness:
         scheduler.disconnect("w0", second_gen, 3.0)
         assert scheduler.live_workers(3.0) == 0
 
+    def test_disconnect_after_finish_is_not_a_death(self):
+        scheduler = _scheduler(_pending(2))
+        generation = scheduler.hello("w0", 0.0)
+        while not scheduler.finished:
+            _complete(scheduler, "w0", scheduler.try_assign("w0", 1.0), 1.0)
+        assert scheduler.disconnect("w0", generation, 2.0) == []
+        assert "workers_dead" not in scheduler.counts
+        assert not any(e["event"] == "worker-dead" for e in scheduler.events)
+
+    def test_evictions_report_missed_heartbeats_and_expired_leases(self):
+        scheduler = _scheduler(lease_base_s=1.0, lease_cell_s=0.0, heartbeat_timeout_s=5.0)
+        scheduler.hello("silent", 0.0)
+        scheduler.hello("wedged", 0.0)
+        scheduler.try_assign("wedged", 0.0)
+        scheduler.heartbeat("wedged", 1.5)
+        scheduler.expire(1.5)  # the wedged worker's lease expired
+        assert scheduler.evictions() == {"wedged"}
+        assert scheduler.evictions() == set()  # reported once
+        scheduler.heartbeat("wedged", 6.0)
+        scheduler.expire(6.0)  # the silent worker missed its heartbeats
+        assert scheduler.evictions() == {"silent"}
+        # A severed connection may reconnect: it is not an eviction.
+        scheduler.disconnect("wedged", 1, 6.5)
+        assert scheduler.evictions() == set()
+
 
 class TestFailureEscalation:
     def test_shard_splits_after_two_failures(self):
@@ -241,7 +266,9 @@ class TestLocalFallback:
             shard = scheduler.take_local(0.0)
             if shard is None:
                 break
-            taken.extend(shard)
+            run, quarantined = shard
+            assert quarantined == []
+            taken.extend(run)
         assert sorted(index for index, _ in taken) == [0, 1]
         fresh = scheduler.record_local(
             [(index, cell, {"status": "ok"}) for index, cell in taken]
@@ -252,10 +279,35 @@ class TestLocalFallback:
 
     def test_take_local_ignores_backoff(self):
         scheduler = _scheduler(_pending(1))
-        assignment = scheduler.try_assign("w0", 0.0)
-        scheduler.expire(assignment["deadline_s"] + 0.1)  # requeued with backoff
-        shard = scheduler.take_local(assignment["deadline_s"] + 0.2)
+        generation = scheduler.hello("w0", 0.0)
+        scheduler.try_assign("w0", 0.0)
+        scheduler.disconnect("w0", generation, 1.0)  # requeued with backoff
+        shard = scheduler.take_local(1.1)
         assert shard is not None  # backoff does not apply to inline execution
+        run, quarantined = shard
+        assert [index for index, _ in run] == [0] and quarantined == []
+
+    @pytest.mark.parametrize("overrun", ["lease-expired", "missed-heartbeats"])
+    def test_take_local_quarantines_cells_that_outran_a_lease(self, overrun):
+        """Inline execution has no deadline, so a cell that already outran
+        one is quarantined instead of run (it could hang the sweep)."""
+        scheduler = _scheduler(_pending(2), shard_size=2)
+        scheduler.hello("w0", 0.0)
+        assignment = scheduler.try_assign("w0", 0.0)
+        if overrun == "lease-expired":
+            scheduler.heartbeat("w0", assignment["deadline_s"])
+            scheduler.expire(assignment["deadline_s"] + 0.1)
+        else:
+            scheduler.expire(5.1)  # silent past heartbeat_timeout_s, lease live
+        assert scheduler.counts["shard_retries"] == 1
+        run, quarantined = scheduler.take_local(60.0)
+        assert run == []
+        assert sorted((index, distinct) for index, _, distinct in quarantined) == [
+            (0, 1),
+            (1, 1),
+        ]
+        assert scheduler.finished
+        assert scheduler.take_local(60.0) is None
 
 
 class TestValidationAndSummary:
@@ -272,7 +324,7 @@ class TestValidationAndSummary:
         assignment = scheduler.try_assign("w0", 0.0)
         _complete(scheduler, "w0", assignment, 1.0)
         summary = scheduler.summary()
-        assert summary["backend"] == "remote"
+        assert summary["backend"] == "fabric"
         assert summary["cells"] == 4
         assert summary["completed"] == 1
         assert summary["workers"]["w0"]["completed_cells"] == 1

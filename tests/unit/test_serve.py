@@ -63,16 +63,16 @@ class TestEndpointCliErrors:
     """Satellite bugfix: malformed endpoints exit 2, never traceback."""
 
     def test_sweep_remote_missing_port(self, capsys):
-        assert cli_main(["sweep", "--backend", "remote", "--listen", "127.0.0.1"]) == 2
+        assert cli_main(["sweep", "--backend", "fabric", "--listen", "127.0.0.1"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_sweep_remote_non_numeric_port(self, capsys):
-        assert cli_main(["sweep", "--backend", "remote", "--listen", "host:http"]) == 2
+        assert cli_main(["sweep", "--backend", "fabric", "--listen", "host:http"]) == 2
         assert "numeric port" in capsys.readouterr().err
 
     def test_sweep_remote_out_of_range_port(self, capsys):
         assert (
-            cli_main(["sweep", "--backend", "remote", "--listen", "127.0.0.1:99999"])
+            cli_main(["sweep", "--backend", "fabric", "--listen", "127.0.0.1:99999"])
             == 2
         )
         assert "error:" in capsys.readouterr().err
@@ -80,7 +80,7 @@ class TestEndpointCliErrors:
     def test_sweep_remote_bad_host(self, capsys):
         assert (
             cli_main(
-                ["sweep", "--backend", "remote", "--listen", "no.such.host.invalid:1"]
+                ["sweep", "--backend", "fabric", "--listen", "no.such.host.invalid:1"]
             )
             == 2
         )
