@@ -31,7 +31,7 @@ import pytest
 from _bench_utils import record, report
 
 from repro.core.bounds_graph import basic_bounds_graph
-from repro.core.longest_paths import VECTOR_MIN_EDGES, LongestPathEngine, _np
+from repro.core.longest_paths import VECTOR_MIN_EDGES, LongestPathEngine, _numpy
 from repro.scenarios import get_scenario
 from repro.simulation.interning import intern_pool
 
@@ -115,7 +115,7 @@ def test_bench_vectorized_rows(name, scenario, params):
         },
     )
 
-    if _np is None:
+    if _numpy() is None:
         pytest.skip("numpy unavailable: forced-vectorized degraded to list kernel")
     assert speedup >= REQUIRED_SPEEDUP, (
         f"{name}: vectorized rows only {speedup:.1f}x faster "

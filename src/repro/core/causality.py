@@ -29,7 +29,8 @@ uid space for large masks: a past bitset unpacks into a boolean array in one
 past-delta scans built on it) become a ``nonzero`` gather instead of
 per-member bit twiddling, and :func:`in_past_many` answers a whole batch of
 probes against one unpacked view.  Small masks and numpy-free installs take
-the pure-Python bit-probe path -- results are identical.
+the pure-Python bit-probe path -- results are identical.  numpy itself is
+imported only when the first such mask appears.
 """
 
 from __future__ import annotations
@@ -40,12 +41,9 @@ from ..simulation import interning as _interning
 from ..simulation.interning import InternPool
 from ..simulation.messages import MessageReceipt
 from ..simulation.network import Process
+from .longest_paths import _numpy
 from .nodes import BasicNode, GeneralNode
 
-try:  # numpy is an optional accelerator; every path has a bit-probe fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Masks with fewer bits than this stay on the pure-Python path: unpacking a
 #: tiny bitset into arrays costs more than a handful of bit probes.
@@ -59,9 +57,10 @@ def _mask_uid_array(mask: int):
     replaces the per-member ``mask & -mask`` peeling loop, which is
     O(members * words) on Python ints.
     """
+    np = _numpy()
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    bits = _np.unpackbits(_np.frombuffer(data, dtype=_np.uint8), bitorder="little")
-    return _np.nonzero(bits)[0]
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    return np.nonzero(bits)[0]
 
 
 def _canonical_uid(pool: InternPool, node: BasicNode) -> int:
@@ -131,7 +130,7 @@ def _past_mask(pool: InternPool, node: BasicNode) -> int:
 
 def _mask_members(pool: InternPool, mask: int) -> FrozenSet[BasicNode]:
     """Materialise a past bitset back into its set of basic nodes."""
-    if _np is not None and mask.bit_length() > _VECTOR_MIN_BITS:
+    if mask.bit_length() > _VECTOR_MIN_BITS and _numpy() is not None:
         return frozenset(pool.nodes_for_uids(_mask_uid_array(mask).tolist()))
     table = pool.node_by_uid
     members = []
@@ -198,14 +197,13 @@ def in_past_many(nodes: Sequence[BasicNode], sigma: BasicNode) -> List[bool]:
     pool = _interning._POOL
     mask = _past_mask(pool, sigma)
     uids = [_canonical_uid(pool, node) for node in nodes]
-    if _np is not None and mask.bit_length() > _VECTOR_MIN_BITS and len(uids) > 1:
+    if mask.bit_length() > _VECTOR_MIN_BITS and len(uids) > 1 and _numpy() is not None:
+        np = _numpy()
         data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-        bits = _np.unpackbits(
-            _np.frombuffer(data, dtype=_np.uint8), bitorder="little"
-        )
-        uid_array = _np.asarray(uids, dtype=_np.int64)
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+        uid_array = np.asarray(uids, dtype=np.int64)
         inside = uid_array < bits.size
-        result = _np.zeros(len(uids), dtype=bool)
+        result = np.zeros(len(uids), dtype=bool)
         result[inside] = bits[uid_array[inside]].astype(bool)
         return result.tolist()
     return [bool(mask >> uid & 1) for uid in uids]

@@ -30,7 +30,7 @@ API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..simulation.network import Process, TimedNetwork
@@ -57,11 +57,24 @@ class ExtendedGraphError(ValueError):
     """Raised when the extended graph is asked about nodes it cannot reason about."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AuxiliaryNode:
     """The auxiliary node ``psi_i`` of process ``i``."""
 
     process: Process
+    # Every psi-overlay edit hashes psi nodes, so the hash is computed once
+    # (as for BasicNode); __reduce__ recomputes it in another process.
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, process: Process) -> None:
+        object.__setattr__(self, "process", process)
+        object.__setattr__(self, "_hash", hash(("psi", process)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (AuxiliaryNode, (self.process,))
 
     def describe(self) -> str:
         return f"psi({self.process})"
@@ -131,17 +144,15 @@ def auxiliary_layer_edges(
     boundary: Mapping[Process, BasicNode],
     undelivered: Iterable[Tuple[BasicNode, Process]],
     timed_network: TimedNetwork,
-    include_flooding: bool = True,
 ) -> List[AuxiliaryEdge]:
     """The ``E'``/``E''``/``E'''`` edge set for one view of a run.
 
     This is the *whole* retractable part of the extended bounds graph: as the
     view grows, boundaries advance (``E'``), messages are seen to arrive
-    (``E''`` edges must be dropped), and only ``E'''`` stays fixed.  Both the
-    one-shot :class:`ExtendedBoundsGraph` and the incremental
-    :class:`~repro.core.knowledge_session.KnowledgeSession` (which reinstalls
-    the set as a volatile engine overlay on every step, caching the static
-    ``E'''`` tail via ``include_flooding=False``) build it here.
+    (``E''`` edges must be dropped), and only ``E'''`` stays fixed.  The
+    one-shot :class:`ExtendedBoundsGraph` builds it here; the incremental
+    :class:`~repro.core.knowledge_session.KnowledgeSession` keeps the same
+    set as a volatile engine overlay and edits it by delta on every step.
     """
     edges: List[AuxiliaryEdge] = []
     # E': the auxiliary node of i strictly follows i's boundary node.
@@ -155,8 +166,7 @@ def auxiliary_layer_edges(
             (AuxiliaryNode(destination), sender_node, -upper, UNDELIVERED_EDGE)
         )
     # E''': flooding propagates the "beyond the view" frontier.
-    if include_flooding:
-        edges.extend(flooding_edges(timed_network))
+    edges.extend(flooding_edges(timed_network))
     return edges
 
 

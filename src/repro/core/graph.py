@@ -53,6 +53,7 @@ class WeightedGraph(Generic[NodeT]):
 
     def __init__(self) -> None:
         self._adjacency: Dict[NodeT, List[Edge[NodeT]]] = {}
+        self._node_list: List[NodeT] = []  # insertion order, for suffix reads
         self._edges: List[Edge[NodeT]] = []
         self._version = 0
         self._engine = None
@@ -62,6 +63,7 @@ class WeightedGraph(Generic[NodeT]):
     def add_node(self, node: NodeT) -> None:
         if node not in self._adjacency:
             self._adjacency[node] = []
+            self._node_list.append(node)
             self._version += 1
 
     def add_edge(self, source: NodeT, target: NodeT, weight: int, label: str = "") -> Edge[NodeT]:
@@ -83,11 +85,23 @@ class WeightedGraph(Generic[NodeT]):
 
     @property
     def nodes(self) -> Tuple[NodeT, ...]:
-        return tuple(self._adjacency)
+        return tuple(self._node_list)
 
     @property
     def edges(self) -> Tuple[Edge[NodeT], ...]:
         return tuple(self._edges)
+
+    def nodes_from(self, start: int) -> List[NodeT]:
+        """The nodes added after the first ``start``, in insertion order.
+
+        Costs O(suffix), unlike slicing :attr:`nodes`, which copies the whole
+        graph first: incremental readers poll this on every growth step.
+        """
+        return self._node_list[start:]
+
+    def edges_from(self, start: int) -> List[Edge[NodeT]]:
+        """The edges added after the first ``start``, in insertion order (O(suffix))."""
+        return self._edges[start:]
 
     def out_edges(self, node: NodeT) -> Tuple[Edge[NodeT], ...]:
         return tuple(self._adjacency.get(node, ()))

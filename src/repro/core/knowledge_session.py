@@ -19,14 +19,17 @@ for work that is almost entirely shared with the previous step.
   :class:`~repro.core.graph.WeightedGraph` whose
   :class:`~repro.core.longest_paths.LongestPathEngine` keeps its index maps
   and extends its memoized rows incrementally.
-* **A volatile auxiliary overlay.**  The ``psi`` layer is the only
-  retractable part of the extended graph: an ``E''`` edge must be dropped
-  the moment its message is seen to arrive, a chain anchor the moment its
-  hop resolves, and ``E'`` re-anchors to the advancing boundary.  The
-  session maintains boundary/delivered/undelivered maps with O(delta) work
-  per step and reinstalls the (frontier-sized) auxiliary edge set as the
-  engine's overlay (:meth:`LongestPathEngine.set_overlay`); queries relax a
-  memoized core row against the overlay instead of recomputing anything.
+* **A volatile auxiliary overlay, edited by delta.**  The ``psi`` layer is
+  the only retractable part of the extended graph: an ``E''`` edge must be
+  dropped the moment its message is seen to arrive, a chain anchor the
+  moment its hop resolves, and ``E'`` re-anchors to the advancing boundary.
+  The session tracks exactly those changes with O(delta) work per step and
+  sends them to the engine's overlay as one
+  :meth:`LongestPathEngine.update_overlay` call per install, so the static
+  ``E'''`` set is mapped once per session and the undelivered messages of
+  earlier steps are never re-mapped.  Queries relax a memoized core row
+  against the overlay instead of recomputing anything; that relaxation
+  still visits every overlay edge once per query.
 * **Chain re-anchoring.**  Chain nodes persist in the core (their bound
   edges stay valid once their delivery is seen), but when a chain prefix
   resolves to an actual basic node the first unresolved hop is *bridged* to
@@ -57,8 +60,6 @@ from .extended_graph import (
     ChainNode,
     ExtendedGraphError,
     GraphKey,
-    auxiliary_layer_edges,
-    flooding_edges,
     resolve_chain_prefix,
 )
 from .graph import WeightedGraph
@@ -101,6 +102,21 @@ class KnowledgeSession:
         self.chunk_advances = 0
         self.resets = 0
         self.nodes_appended = 0
+        # Per channel ``(s, r)``, weighing ``-U_sr``: the E''' edge
+        # ``psi_r -> psi_s`` (static for a fixed network, so built once), and
+        # the E'' edge ``psi_r -> sigma_s`` that a send from ``sigma_s`` to
+        # ``r`` adds until it is seen to arrive (``_send_edges[s]`` holds
+        # ``(r, psi_r, weight)``).
+        psi = {process: AuxiliaryNode(process) for process in timed_network.processes}
+        self._flooding: List[Tuple[GraphKey, GraphKey, int]] = []
+        self._send_edges: Dict[Process, List[Tuple[Process, AuxiliaryNode, int]]] = {
+            process: [] for process in timed_network.processes
+        }
+        for sender, receiver in timed_network.channels:
+            weight = -timed_network.U(sender, receiver)
+            self._flooding.append((psi[receiver], psi[sender], weight))
+            self._send_edges[sender].append((receiver, psi[receiver], weight))
+        self._psi = psi
         self._cold_start()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -112,20 +128,31 @@ class KnowledgeSession:
         self._graph: WeightedGraph[GraphKey] = WeightedGraph()
         self._boundary: Dict[Process, BasicNode] = {}
         self._delivered: Dict[Tuple[BasicNode, Process], BasicNode] = {}
-        self._undelivered: Set[Tuple[BasicNode, Process]] = set()
+        # Sends not seen to arrive -> ``[E'' edge, state]``, where state is
+        # False while the edge awaits its install, True once installed, and
+        # None when the send arrived before any install (it never will be).
+        self._undelivered: Dict[Tuple[BasicNode, Process], List] = {}
         # Chain node -> the vertex its bound edges are currently linked from
         # (a basic node once the preceding hop resolved, an earlier chain
         # node otherwise).
         self._chain_links: Dict[ChainNode, GraphKey] = {}
-        self._overlay_dirty = True
         self._go_nodes: Dict[Tuple[Process, str], Tuple[Optional[BasicNode], int]] = {}
-        # The E''' tail never changes for a fixed network; build it once.
-        self._flooding_edges: List[Tuple[GraphKey, GraphKey, int]] = []
-        if self.include_auxiliary:
-            self._flooding_edges = [
-                (source, target, weight)
-                for source, target, weight, _ in flooding_edges(self.timed_network)
-            ]
+        # The psi layer reaches the engine's overlay as deltas.  The overlay
+        # holds E' from ``_psi_boundary``, the installed E'' edges, E''' and
+        # one anchor per chain node in ``_anchored``.
+        self._psi_boundary: Dict[Process, BasicNode] = {}
+        self._anchored: Set[ChainNode] = set()
+        # Changes the next _refresh_overlay sends.  The static E''' set goes
+        # with the first install only.
+        self._edges_pending: List[Tuple[GraphKey, GraphKey, int]] = (
+            list(self._flooding) if self.include_auxiliary else []
+        )
+        self._moved_pending: Set[Process] = set()
+        self._sends_pending: List[List] = []  # ``_undelivered`` entries
+        self._arrivals_pending: List[Tuple[GraphKey, GraphKey, int]] = []
+        self._chains_pending: List[ChainNode] = []
+        self._delivered_grew = False
+        self._overlay_dirty = True
 
     @property
     def sigma(self) -> Optional[BasicNode]:
@@ -167,23 +194,33 @@ class KnowledgeSession:
 
         # Pass 1: the monotone bookkeeping every new node contributes --
         # boundary advance and freshly sent (so far undelivered) messages.
-        net = self.timed_network
+        undelivered = self._undelivered
         for node in ordered:
             current = self._boundary.get(node.process)
             if current is None or current.step_count < node.step_count:
                 self._boundary[node.process] = node
+                self._moved_pending.add(node.process)
             if not node.is_initial:
-                for destination in net.out_neighbors(node.process):
-                    self._undelivered.add((node, destination))
+                for destination, psi, weight in self._send_edges[node.process]:
+                    entry = [(psi, node, weight), False]
+                    undelivered[(node, destination)] = entry
+                    self._sends_pending.append(entry)
 
         # Pass 2: grow the core graph; its returned deliveries retract the
-        # matching E'' pairs (the "seen to arrive" re-anchoring).
+        # matching E'' pairs (the "seen to arrive" re-anchoring).  A pair
+        # sent and delivered between two installs never reaches the engine.
         for sender_node, destination, receiver_node in append_past_nodes(
-            self._graph, ordered, net
+            self._graph, ordered, self.timed_network
         ):
             key = (sender_node, destination)
             self._delivered[key] = receiver_node
-            self._undelivered.discard(key)
+            self._delivered_grew = True
+            entry = undelivered.pop(key, None)
+            if entry is not None:
+                if entry[1]:
+                    self._arrivals_pending.append(entry[0])
+                else:
+                    entry[1] = None
 
         self._sigma = sigma
         self._mask = new_mask
@@ -228,27 +265,52 @@ class KnowledgeSession:
         return hops_resolved < prefix.hops
 
     def _refresh_overlay(self) -> None:
+        """Send the psi-layer changes since the last install to the engine.
+
+        Only what changed is mapped: E' for processes whose boundary moved,
+        E'' for pairs sent or seen to arrive, anchors for new chain nodes and
+        for anchored chain hops that resolved.  The engine then answers as if
+        the whole layer had been rebuilt (the property suite checks that).
+        """
         if not self._overlay_dirty:
             return
-        edges: List[Tuple[GraphKey, GraphKey, int]] = []
-        if self.include_auxiliary:
-            # Iteration order of the undelivered set varies, but overlay edge
-            # order never affects a fixpoint weight, so no sort is needed.
-            for source, target, weight, _ in auxiliary_layer_edges(
-                self._boundary,
-                self._undelivered,
-                self.timed_network,
-                include_flooding=False,
-            ):
-                edges.append((source, target, weight))
-            edges.extend(self._flooding_edges)
-            # Chain anchors: every still-unresolved chain hop necessarily
-            # happens beyond the view, i.e. at or after its process's psi.
-            for chain_node in self._chain_links:
-                if self._chain_is_unresolved(chain_node):
-                    edges.append((AuxiliaryNode(chain_node.process), chain_node, 0))
-        self._graph.engine.set_overlay(edges)
         self._overlay_dirty = False
+        added, self._edges_pending = self._edges_pending, []
+        moved, self._moved_pending = self._moved_pending, set()
+        sent, self._sends_pending = self._sends_pending, []
+        removed, self._arrivals_pending = self._arrivals_pending, []
+        new_chains, self._chains_pending = self._chains_pending, []
+        delivered_grew, self._delivered_grew = self._delivered_grew, False
+        if not self.include_auxiliary:
+            return
+        psi = self._psi
+        # E': the auxiliary node of a process follows its boundary node.
+        for process in moved:
+            boundary = self._boundary[process]
+            previous = self._psi_boundary.get(process)
+            if previous is not None:
+                removed.append((previous, psi[process], 1))
+            added.append((boundary, psi[process], 1))
+            self._psi_boundary[process] = boundary
+        # E'': messages sent from the past and not seen to arrive (the ones
+        # seen to arrive since the last install are already in ``removed``).
+        for entry in sent:
+            if entry[1] is False:
+                entry[1] = True
+                added.append(entry[0])
+        # Chain anchors: an unresolved chain hop happens at or after its
+        # process's psi.  Resolution needs a new delivery, and deliveries
+        # only accumulate, so a resolved hop is retracted once, for good.
+        if delivered_grew:
+            resolved = [chain for chain in self._anchored if not self._chain_is_unresolved(chain)]
+            for chain_node in resolved:
+                self._anchored.remove(chain_node)
+                removed.append((psi[chain_node.process], chain_node, 0))
+        for chain_node in new_chains:
+            if self._chain_is_unresolved(chain_node):
+                self._anchored.add(chain_node)
+                added.append((psi[chain_node.process], chain_node, 0))
+        self._graph.engine.update_overlay(added, removed)
         _C_PSI_REINSTALLS.value += 1
 
     # -- general nodes ----------------------------------------------------------------
@@ -304,8 +366,10 @@ class KnowledgeSession:
                 upper = net.U(previous_process, hop_process)
                 self._graph.add_edge(previous_key, key, lower, CHAIN_LOWER_EDGE)
                 self._graph.add_edge(key, previous_key, -upper, CHAIN_UPPER_EDGE)
+                if linked is None:
+                    self._chains_pending.append(key)
+                    self._overlay_dirty = True
                 self._chain_links[key] = previous_key
-                self._overlay_dirty = True
             previous_key = key
             previous_process = hop_process
         return previous_key

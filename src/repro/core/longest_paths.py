@@ -35,12 +35,14 @@ bounds-stats analysis passes the dominant cost of ``repro sweep``.
    auxiliary ``psi`` layer on every step: ``E''`` edges are retracted when a
    message is seen to arrive and chain anchors when a chain hop resolves.
    :meth:`set_overlay` installs such a volatile edge set *next to* the base
-   graph without mutating it; :meth:`overlay_weight` answers longest-path
-   queries over base+overlay by seeding a worklist relaxation with the
-   memoized base row (longest paths only grow when edges are added, so the
-   base fixpoint is a valid lower seed).  Replacing the overlay therefore
-   discards only the per-step overlay rows -- the base rows, index maps and
-   SCCs persist across steps.
+   graph without mutating it, and :meth:`update_overlay` edits it by a
+   delta, mapping only the edges that changed; :meth:`overlay_weight`
+   answers longest-path queries over base+overlay by seeding a worklist
+   relaxation with the memoized base row (longest paths only grow when
+   edges are added, so the base fixpoint is a valid lower seed).  An edit
+   therefore discards only the per-step overlay rows -- the base rows,
+   index maps, SCCs and the mapping of every unchanged overlay edge persist
+   across steps.
 
 The engine is exact: it raises :class:`PositiveCycleError` for exactly the
 sources from which the naive relaxation raises, and agrees with it on every
@@ -66,16 +68,31 @@ agreement.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Generic, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import metrics as _metrics
 from .graph import NEG_INF, NodeT, PositiveCycleError, WeightedGraph
 
-try:  # numpy is an optional accelerator; every kernel has a list fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+#: numpy, the optional accelerator of every array kernel, bound by
+#: :func:`_numpy` on first use.  Importing it costs ~80 ms and ~12 MB per
+#: process, and only graphs of :data:`VECTOR_MIN_EDGES` edges (or engines
+#: forced ``vectorized=True``) need it, so it stays unloaded until then.
+_np = None
+_numpy_tried = False
+
+
+def _numpy():
+    """numpy, imported on the first call; ``None`` when it is not installed."""
+    global _np, _numpy_tried
+    if not _numpy_tried:
+        _numpy_tried = True
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - exercised on numpy-free installs
+            numpy = None
+        _np = numpy
+    return _np
 
 __all__ = ["EngineStats", "LongestPathEngine"]
 
@@ -216,18 +233,13 @@ class EngineStats:
     overlay_rows_computed: int = 0
     overlay_row_cache_hits: int = 0
     overlay_installs: int = 0
+    #: Distinct overlay edges whose endpoints were mapped to engine indices:
+    #: one per edge a :meth:`LongestPathEngine.set_overlay` or
+    #: :meth:`LongestPathEngine.update_overlay` adds, never one per query.
+    overlay_edges_mapped: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "rows_computed": self.rows_computed,
-            "rows_extended": self.rows_extended,
-            "row_cache_hits": self.row_cache_hits,
-            "syncs": self.syncs,
-            "queries": self.queries,
-            "overlay_rows_computed": self.overlay_rows_computed,
-            "overlay_row_cache_hits": self.overlay_row_cache_hits,
-            "overlay_installs": self.overlay_installs,
-        }
+        return asdict(self)
 
 
 class LongestPathEngine(Generic[NodeT]):
@@ -245,7 +257,7 @@ class LongestPathEngine(Generic[NodeT]):
         self._graph = graph
         #: ``None`` = auto (numpy present and the graph is large enough),
         #: ``True``/``False`` force the numpy / list kernels respectively.
-        self._vectorized = vectorized if _np is not None else False
+        self._vectorized = vectorized
         self._synced_version = -1
         self._synced_edge_count = 0
         # Index-mapped representation.
@@ -269,19 +281,12 @@ class LongestPathEngine(Generic[NodeT]):
         self._scc_members_np: List = []
         self._scc_intra_np: List = []
         self._scc_cross_np: List = []
-        self._overlay_block = None
         # Memoized state.  Rows are plain lists on the fallback path and 1-D
         # float64 arrays on the vectorized path; the public dict views convert.
         self._rows: Dict[int, List[float]] = {}
         self._positive_cycle: Optional[bool] = None
-        # Volatile overlay: a replaceable edge layer next to the base graph.
-        self._overlay_edges: List[Tuple[NodeT, NodeT, int]] = []
-        self._overlay_nodes: List[NodeT] = []
-        self._overlay_index: Dict[NodeT, int] = {}
-        self._overlay_out: Dict[int, List[Tuple[int, int]]] = {}
-        self._overlay_rows: Dict[int, List[float]] = {}
-        self._overlay_mapped_version: Optional[int] = None
         self.stats = EngineStats()
+        self._clear_overlay()
 
     # -- synchronisation with the underlying graph ------------------------------
 
@@ -291,22 +296,28 @@ class LongestPathEngine(Generic[NodeT]):
             return
         self.stats.syncs += 1
         _C_SYNCS.value += 1
-        for node in graph.nodes[len(self._nodes) :]:
+        overlay_index = self._overlay_index
+        remap_overlay = False
+        for node in graph.nodes_from(len(self._nodes)):
             self._index[node] = len(self._nodes)
             self._nodes.append(node)
             self._out.append([])
+            if overlay_index and node in overlay_index:
+                remap_overlay = True  # an overlay-only vertex joined the base
         new_edge_start = self._synced_edge_count
-        edges = graph.edges
-        for edge in edges[new_edge_start:]:
+        for edge in graph.edges_from(new_edge_start):
             edge_id = len(self._edge_src)
             source = self._index[edge.source]
             self._edge_src.append(source)
             self._edge_dst.append(self._index[edge.target])
             self._edge_weight.append(edge.weight)
             self._out[source].append(edge_id)
-        self._synced_edge_count = len(edges)
+        self._synced_edge_count = len(self._edge_src)
         self._synced_version = graph.version
         self._positive_cycle = None
+        self._overlay_rows.clear()
+        if remap_overlay:
+            self._remap_overlay()
         if self._rows:
             for source_index, dist in list(self._rows.items()):
                 try:
@@ -322,12 +333,16 @@ class LongestPathEngine(Generic[NodeT]):
                     _C_ROWS_EXTENDED.value += 1
 
     def _use_numpy(self) -> bool:
-        """Whether relaxations dispatch to the numpy kernels (call post-sync)."""
-        if _np is None:
+        """Whether relaxations dispatch to the numpy kernels (call post-sync).
+
+        Decided before numpy is imported: auto mode below the edge threshold
+        and forced list mode never load it.
+        """
+        if self._vectorized is False:
             return False
-        if self._vectorized is not None:
-            return self._vectorized
-        return len(self._edge_src) >= VECTOR_MIN_EDGES
+        if self._vectorized is None and len(self._edge_src) < VECTOR_MIN_EDGES:
+            return False
+        return _numpy() is not None
 
     def _np_base_blocks(self):
         """The whole edge list as chunked dst-sorted blocks (rebuilt per version)."""
@@ -580,7 +595,7 @@ class LongestPathEngine(Generic[NodeT]):
         values are a valid lower seed.  Returns the (possibly reallocated)
         row; the list kernel grows in place, the numpy kernel concatenates.
         """
-        if _np is not None and not isinstance(dist, list):
+        if not isinstance(dist, list):
             return self._extend_row_np(dist, new_edge_start)
         self._extend_row_list(dist, new_edge_start)
         return dist
@@ -676,6 +691,12 @@ class LongestPathEngine(Generic[NodeT]):
         except KeyError:
             raise KeyError(f"source {source!r} is not a node of the graph") from None
 
+    def _target_index(self, target: NodeT) -> int:
+        try:
+            return self._index[target]
+        except KeyError:
+            raise KeyError(f"target {target!r} is not a node of the graph") from None
+
     # -- public queries ---------------------------------------------------------
 
     def row(self, source: NodeT) -> Dict[NodeT, float]:
@@ -692,7 +713,7 @@ class LongestPathEngine(Generic[NodeT]):
         dist = self._row(self._source_index(source))
         return dict(zip(self._nodes, _as_float_list(dist)))
 
-    def rows(self, sources: Sequence[NodeT]) -> List[Dict[NodeT, float]]:
+    def rows(self, sources: Sequence[NodeT], targets: Optional[Sequence[NodeT]] = None) -> List:
         """Memoized rows for a batch of sources, index-aligned with ``sources``.
 
         Equivalent to ``[self.row(s) for s in sources]`` -- same memoization,
@@ -700,14 +721,21 @@ class LongestPathEngine(Generic[NodeT]):
         behaviour (the first offending source in ``sources`` order raises) --
         but on the vectorized path all uncached rows are settled together by
         multi-source relaxation sweeps over one ``(nodes, sources)`` matrix.
+
+        With ``targets``, each row is a list of the weights to those nodes
+        instead, index-aligned with ``targets`` (``-inf`` when unreachable):
+        no per-row dict over the whole graph when only a few cells are read.
         """
         self._sync()
         indices = [self._source_index(source) for source in sources]
+        target_indices = None
+        if targets is not None:
+            target_indices = [self._target_index(target) for target in targets]
         self.stats.queries += len(indices)
         _C_QUERIES.value += len(indices)
         cached = set(self._rows)
         self._materialize_rows(indices)
-        out: List[Dict[NodeT, float]] = []
+        out: List = []
         for index in indices:
             if index in cached:
                 self.stats.row_cache_hits += 1
@@ -716,7 +744,13 @@ class LongestPathEngine(Generic[NodeT]):
                 # Later duplicates of a just-computed source are cache hits,
                 # exactly as they would be in a sequential row() loop.
                 cached.add(index)
-            out.append(dict(zip(self._nodes, _as_float_list(self._rows[index]))))
+            dist = self._rows[index]
+            if target_indices is None:
+                out.append(dict(zip(self._nodes, _as_float_list(dist))))
+            elif isinstance(dist, list):
+                out.append([dist[target] for target in target_indices])
+            else:
+                out.append(dist[target_indices].tolist())
         return out
 
     def weight(self, source: NodeT, target: NodeT) -> Optional[int]:
@@ -725,9 +759,7 @@ class LongestPathEngine(Generic[NodeT]):
         self.stats.queries += 1
         _C_QUERIES.value += 1
         source_index = self._source_index(source)
-        target_index = self._index.get(target)
-        if target_index is None:
-            raise KeyError(f"target {target!r} is not a node of the graph")
+        target_index = self._target_index(target)
         value = self._row(source_index)[target_index]
         if value == NEG_INF:
             return None
@@ -754,6 +786,118 @@ class LongestPathEngine(Generic[NodeT]):
         )
 
     # -- the volatile overlay ----------------------------------------------------
+    #
+    # The overlay is a multiset of edges next to the base graph.  Each distinct
+    # edge is mapped to engine indices once, when it is added: a base endpoint
+    # takes its base index, any other endpoint becomes an *overlay vertex*
+    # with a negative id (slot ``k`` is id ``-1 - k``).  An overlay row is the
+    # base row followed by one cell per slot, so ``dist[-1 - k]`` finds slot
+    # ``k`` whatever the base size: base growth never remaps the overlay, and
+    # an edit costs only the edges it adds or removes.
+
+    def _clear_overlay(self) -> None:
+        #: Distinct edge -> ``[multiplicity, source id, target id]``.
+        self._overlay_edges: Dict[Tuple[NodeT, NodeT, int], List[int]] = {}
+        #: Source id -> its distinct ``(target id, weight)`` pairs.
+        self._overlay_out: Dict[int, Dict[Tuple[int, int], None]] = {}
+        #: Current overlay vertices (endpoints of some overlay edge) -> id.
+        self._overlay_index: Dict[NodeT, int] = {}
+        self._overlay_refs: List[int] = []  # per slot: distinct incident edges
+        self._overlay_free: List[int] = []  # released slots, reused first
+        self._overlay_size = 0  # edges, counted with multiplicity
+        self._overlay_block = None  # numpy blocks, rebuilt after an edit
+        self._overlay_rows: Dict[int, List[float]] = {}
+
+    def _new_vertex(self, node: NodeT) -> int:
+        """Take a slot (a released one first) for a fresh overlay-only vertex."""
+        if self._overlay_free:
+            slot = self._overlay_free.pop()
+        else:
+            slot = len(self._overlay_refs)
+            self._overlay_refs.append(0)
+        self._overlay_index[node] = -1 - slot
+        return -1 - slot
+
+    def _edit_overlay(
+        self,
+        added: Iterable[Tuple[NodeT, NodeT, int]],
+        removed: Iterable[Tuple[NodeT, NodeT, int]],
+    ) -> bool:
+        """Apply additions, then removals; whether anything was applied.
+
+        Edges are ``(source, target, weight)`` tuples with ``int`` weights.
+        """
+        index = self._index
+        overlay_index = self._overlay_index
+        refs = self._overlay_refs
+        installed = self._overlay_edges
+        out = self._overlay_out
+        adds = removes = mapped = 0
+        for edge in added:
+            adds += 1
+            entry = [1, 0, 0]
+            existing = installed.setdefault(edge, entry)
+            if existing is not entry:
+                existing[0] += 1
+                continue
+            # Map each endpoint: a base index, else an overlay vertex id
+            # (one reference per distinct incident edge keeps its slot).
+            source, target, weight = edge
+            source_id = index.get(source)
+            if source_id is None:
+                source_id = overlay_index.get(source)
+                if source_id is None:
+                    source_id = self._new_vertex(source)
+                refs[-1 - source_id] += 1
+            target_id = index.get(target)
+            if target_id is None:
+                target_id = overlay_index.get(target)
+                if target_id is None:
+                    target_id = self._new_vertex(target)
+                refs[-1 - target_id] += 1
+            entry[1] = source_id
+            entry[2] = target_id
+            bucket = out.get(source_id)
+            if bucket is None:
+                out[source_id] = bucket = {}
+            bucket[(target_id, weight)] = None
+            mapped += 1
+        for edge in removed:
+            removes += 1
+            entry = installed.pop(edge, None)
+            if entry is None:
+                raise KeyError(f"overlay edge {edge!r} is not installed")
+            if entry[0] > 1:
+                entry[0] -= 1
+                installed[edge] = entry
+                continue
+            _, source_id, target_id = entry
+            bucket = out[source_id]
+            del bucket[(target_id, edge[2])]
+            if not bucket:
+                del out[source_id]
+            for node, vertex in ((edge[0], source_id), (edge[1], target_id)):
+                if vertex < 0:
+                    refs[-1 - vertex] -= 1
+                    if not refs[-1 - vertex]:
+                        del overlay_index[node]
+                        self._overlay_free.append(-1 - vertex)
+        self._overlay_size += adds - removes
+        self.stats.overlay_edges_mapped += mapped
+        return bool(adds or removes)
+
+    def _remap_overlay(self) -> None:
+        """Map every overlay edge afresh (an overlay vertex joined the base)."""
+        edges = self.overlay_edges()
+        self._clear_overlay()
+        self._edit_overlay(edges, ())
+
+    def _overlay_edited(self, changed: bool) -> None:
+        if changed:
+            self._overlay_rows.clear()
+            self._overlay_block = None
+        self.stats.overlay_installs += 1
+        _C_OVERLAY_INSTALLS.value += 1
 
     def set_overlay(self, edges: Iterable[Tuple[NodeT, NodeT, int]]) -> None:
         """Install (replacing any previous) a volatile edge layer.
@@ -766,59 +910,29 @@ class LongestPathEngine(Generic[NodeT]):
         overlay may *shrink* between installs -- that is its purpose: the
         per-step retractable constraints of a
         :class:`~repro.core.knowledge_session.KnowledgeSession` go here.
+        Costs one mapping per edge; :meth:`update_overlay` edits by delta.
         """
-        self._overlay_edges = [
-            (source, target, int(weight)) for source, target, weight in edges
-        ]
-        self._overlay_mapped_version = None
-        self._overlay_rows.clear()
-        self.stats.overlay_installs += 1
-        _C_OVERLAY_INSTALLS.value += 1
-
-    def _overlay_sync(self) -> None:
-        """(Re)map overlay endpoints onto combined indices after base growth."""
         self._sync()
-        if self._overlay_mapped_version == self._synced_version:
-            return
-        base_count = len(self._nodes)
-        overlay_nodes: List[NodeT] = []
-        overlay_index: Dict[NodeT, int] = {}
-        out: Dict[int, List[Tuple[int, int]]] = {}
-        flat_src: List[int] = []
-        flat_dst: List[int] = []
-        flat_weight: List[int] = []
-        base_index = self._index
-        for source, target, weight in self._overlay_edges:
-            source_id = base_index.get(source)
-            if source_id is None:
-                source_id = overlay_index.get(source)
-                if source_id is None:
-                    source_id = base_count + len(overlay_nodes)
-                    overlay_index[source] = source_id
-                    overlay_nodes.append(source)
-            target_id = base_index.get(target)
-            if target_id is None:
-                target_id = overlay_index.get(target)
-                if target_id is None:
-                    target_id = base_count + len(overlay_nodes)
-                    overlay_index[target] = target_id
-                    overlay_nodes.append(target)
-            bucket = out.get(source_id)
-            if bucket is None:
-                out[source_id] = bucket = []
-            bucket.append((target_id, weight))
-            flat_src.append(source_id)
-            flat_dst.append(target_id)
-            flat_weight.append(weight)
-        self._overlay_nodes = overlay_nodes
-        self._overlay_index = overlay_index
-        self._overlay_out = out
-        if flat_src and self._use_numpy():
-            self._overlay_block = _np_edge_chunks(flat_src, flat_dst, flat_weight)
-        else:
-            self._overlay_block = None
-        self._overlay_rows.clear()
-        self._overlay_mapped_version = self._synced_version
+        self._clear_overlay()
+        self._edit_overlay([(source, target, int(weight)) for source, target, weight in edges], ())
+        self._overlay_edited(True)
+
+    def update_overlay(
+        self,
+        added: Iterable[Tuple[NodeT, NodeT, int]] = (),
+        removed: Iterable[Tuple[NodeT, NodeT, int]] = (),
+    ) -> None:
+        """Edit the installed overlay by a delta instead of replacing it.
+
+        The ``added`` edges join the overlay, then one copy of each
+        ``removed`` edge leaves it (``KeyError`` if none is installed).  Edges
+        are ``(source, target, weight)`` tuples with ``int`` weights.
+        Queries afterwards answer exactly as after :meth:`set_overlay` of the
+        edited edge multiset, but only the added and removed edges are
+        touched; edges that stay installed are never re-mapped.
+        """
+        self._sync()
+        self._overlay_edited(self._edit_overlay(added, removed))
 
     def _combined_index(self, node: NodeT, role: str) -> int:
         index = self._index.get(node)
@@ -837,21 +951,21 @@ class LongestPathEngine(Generic[NodeT]):
         combined fixpoint, exactly like :meth:`_extend_row` does for base
         growth.
         """
-        if self._overlay_block is not None:
+        overlay_out = self._overlay_out
+        if overlay_out and self._use_numpy():
             return self._compute_overlay_row_np(source)
-        base_count = len(self._nodes)
-        total = base_count + len(self._overlay_nodes)
-        if source < base_count:
-            dist = list(self._row(source)) + [NEG_INF] * (total - base_count)
+        slots = len(self._overlay_refs)
+        total = len(self._nodes) + slots
+        if source >= 0:
+            dist = list(self._row(source)) + [NEG_INF] * slots
         else:
             dist = [NEG_INF] * total
             dist[source] = 0
-        overlay_out = self._overlay_out
         edge_dst = self._edge_dst
         edge_weight = self._edge_weight
         pending: deque = deque()
         queued = [False] * total
-        if source >= base_count:
+        if source < 0:
             queued[source] = True
             pending.append(source)
         for origin, targets in overlay_out.items():
@@ -865,18 +979,15 @@ class LongestPathEngine(Generic[NodeT]):
                     if not queued[target]:
                         queued[target] = True
                         pending.append(target)
-        pop_budget = total * total + len(self._edge_src) + len(self._overlay_edges)
+        pop_budget = total * total + len(self._edge_src) + self._overlay_size
         while pending:
             pop_budget -= 1
             if pop_budget < 0:
-                raise PositiveCycleError(
-                    "positive-weight cycle reachable from the source; the "
-                    "constraint system is infeasible"
-                )
+                raise PositiveCycleError(_POSITIVE_CYCLE_MESSAGE)
             node = pending.popleft()
             queued[node] = False
             base = dist[node]
-            if node < base_count:
+            if node >= 0:
                 for edge_id in self._out[node]:
                     candidate = base + edge_weight[edge_id]
                     target = edge_dst[edge_id]
@@ -901,16 +1012,26 @@ class LongestPathEngine(Generic[NodeT]):
         combined ``base+overlay`` index space; seeded from the memoized base
         row, the iteration settles within ``total`` sweeps unless a positive
         cycle through the overlay keeps pumping values (the ``total + 1``
-        cap, matching the worklist kernel's budget-based detector).
+        cap, matching the worklist kernel's budget-based detector).  Negative
+        overlay ids index the slot cells from the end, as in the list kernel.
         """
-        base_count = len(self._nodes)
-        total = base_count + len(self._overlay_nodes)
-        if source < base_count:
+        slots = len(self._overlay_refs)
+        total = len(self._nodes) + slots
+        if source >= 0:
             seed = _np.asarray(self._row(source), dtype=_np.float64)
-            dist = _np.concatenate([seed, _np.full(total - base_count, NEG_INF)])
+            dist = _np.concatenate([seed, _np.full(slots, NEG_INF)])
         else:
             dist = _np.full(total, NEG_INF)
             dist[source] = 0.0
+        if self._overlay_block is None:
+            flat_src, flat_dst, flat_weight = zip(
+                *(
+                    (origin, target, weight)
+                    for origin, targets in self._overlay_out.items()
+                    for target, weight in targets
+                )
+            )
+            self._overlay_block = _np_edge_chunks(flat_src, flat_dst, flat_weight)
         base_blocks = self._np_base_blocks()
         overlay_blocks = self._overlay_block
         for sweep in range(total + 1):
@@ -939,7 +1060,7 @@ class LongestPathEngine(Generic[NodeT]):
 
         With an empty overlay this agrees with :meth:`weight` exactly.
         """
-        self._overlay_sync()
+        self._sync()
         self.stats.queries += 1
         _C_QUERIES.value += 1
         source_index = self._combined_index(source, "source")
@@ -950,12 +1071,19 @@ class LongestPathEngine(Generic[NodeT]):
         return int(value)
 
     def overlay_row(self, source: NodeT) -> Dict[NodeT, float]:
-        """Longest-path weights from ``source`` over base+overlay, per node."""
-        self._overlay_sync()
+        """Longest-path weights from ``source`` over base+overlay, per node.
+
+        Keyed by every base node and every current overlay vertex.
+        """
+        self._sync()
         self.stats.queries += 1
         _C_QUERIES.value += 1
         dist = self._overlay_row_values(self._combined_index(source, "source"))
-        return dict(zip(list(self._nodes) + self._overlay_nodes, _as_float_list(dist)))
+        values = _as_float_list(dist)
+        row = dict(zip(self._nodes, values))
+        for node, vertex in self._overlay_index.items():
+            row[node] = values[vertex]
+        return row
 
     def has_positive_cycle(self) -> bool:
         """Whether any positive-weight cycle exists anywhere in the graph.
@@ -1019,6 +1147,10 @@ class LongestPathEngine(Generic[NodeT]):
     @property
     def cached_row_count(self) -> int:
         return len(self._rows)
+
+    def overlay_edges(self) -> List[Tuple[NodeT, NodeT, int]]:
+        """The installed overlay edges, each repeated by its multiplicity."""
+        return [edge for edge, entry in self._overlay_edges.items() for _ in range(entry[0])]
 
     def component_count(self) -> int:
         self._sync()

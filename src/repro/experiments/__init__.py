@@ -64,13 +64,6 @@ from .reporting import (
     group_records,
     report_payload,
 )
-from .serve import (
-    MAX_CELLS,
-    SpecError,
-    SweepService,
-    parse_endpoint,
-    validate_spec,
-)
 from .runner import (
     ADVERSARIES,
     TELEMETRY_KIND,
@@ -190,3 +183,18 @@ __all__ = [
     "sweep_telemetry_key",
     "write_corpus",
 ]
+
+#: Names served by :mod:`repro.experiments.serve`, imported on first access:
+#: the HTTP stack it pulls in (``http.server``, ``email``) costs every other
+#: command start-up time for nothing.
+_SERVE_NAMES = frozenset(
+    {"MAX_CELLS", "SpecError", "SweepService", "parse_endpoint", "validate_spec"}
+)
+
+
+def __getattr__(name):
+    if name in _SERVE_NAMES:
+        from . import serve
+
+        return getattr(serve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,7 @@ assumed to be the literal processes ``A``/``B``/``C``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -27,6 +28,7 @@ from ..coordination.tasks import late_task, evaluate
 from ..simulation.messages import GO_TRIGGER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.graph import WeightedGraph
     from ..simulation.runs import Run
 
 
@@ -100,18 +102,46 @@ def analysis_versions(names: Sequence[str]) -> Dict[str, int]:
     return dict(_analysis_versions(tuple(names)))
 
 
+#: The run whose passes :func:`run_analyses` is applying on this thread, and
+#: the artifacts derived from it so far (see :func:`cell_bounds_graph`).  A
+#: pass receives only the run (that is its registered signature), so the
+#: cell's scope travels beside it; per thread, as a service may run cells on
+#: several threads at once.
+_cell = threading.local()
+
+
 def run_analyses(run: "Run", names: Sequence[str]) -> Dict[str, Dict[str, Any]]:
     """Apply the requested passes to one run, in the requested order.
 
     Each pass runs under a ``span(f"analysis.{name}")``, so per-pass timing
     totals accumulate in the ``span.analysis.<name>.s`` histograms without
-    changing any result.
+    changing any result.  Artifacts the passes derive from the run (its
+    ``GB(r)``) are built once for all of them and dropped on return.
     """
     results: Dict[str, Dict[str, Any]] = {}
-    for name in names:
-        with span(f"analysis.{name}"):
-            results[name] = get_analysis(name).run(run)
+    _cell.run, _cell.bounds_graph = run, None
+    try:
+        for name in names:
+            with span(f"analysis.{name}"):
+                results[name] = get_analysis(name).run(run)
+    finally:
+        _cell.run = _cell.bounds_graph = None
     return results
+
+
+def cell_bounds_graph(run: "Run") -> "WeightedGraph":
+    """``GB(r)``, built once per cell however many passes read it.
+
+    Inside :func:`run_analyses` the graph is shared by every pass of the
+    run; a pass called on its own builds a fresh one.  ``bounds_graph`` only
+    reads the graph and ``bounds_stats`` is the one pass that queries its
+    engine, so records are the same for every pass order.
+    """
+    if getattr(_cell, "run", None) is not run:
+        return basic_bounds_graph(run)
+    if _cell.bounds_graph is None:
+        _cell.bounds_graph = basic_bounds_graph(run)
+    return _cell.bounds_graph
 
 
 #: Passes every sweep applies unless told otherwise.
@@ -181,7 +211,7 @@ def summary_pass(run: "Run") -> Dict[str, Any]:
 @register_analysis("bounds_graph", version=1)
 def bounds_graph_pass(run: "Run") -> Dict[str, Any]:
     """Size and composition of the run's basic bounds graph ``GB(r)``."""
-    graph = basic_bounds_graph(run)
+    graph = cell_bounds_graph(run)
     by_label: Dict[str, int] = {}
     for edge in graph.edges:
         by_label[edge.label] = by_label.get(edge.label, 0) + 1
@@ -201,9 +231,10 @@ def bounds_stats_pass(run: "Run") -> Dict[str, Any]:
     for all sources, which the vectorized kernels settle in a single
     multi-source relaxation -- so the relaxation cost is paid once per source
     row rather than once per pair; ``rows_computed`` records exactly how many
-    relaxations the whole cell needed.
+    relaxations the whole cell needed.  The rows come back as final-to-final
+    weights read by index (``targets=finals``), not as dicts over all nodes.
     """
-    graph = basic_bounds_graph(run)
+    graph = cell_bounds_graph(run)
     engine = graph.engine
     finals = sorted(
         (run.final_node(process) for process in run.processes),
@@ -213,12 +244,11 @@ def bounds_stats_pass(run: "Run") -> Dict[str, Any]:
     reachable = 0
     max_gap: Optional[int] = None
     min_gap: Optional[int] = None
-    for source, row in zip(finals, engine.rows(finals)):
-        for target in finals:
-            if target is source:
+    for source, row in enumerate(engine.rows(finals, targets=finals)):
+        for target, value in enumerate(row):
+            if target == source:
                 continue
             queried += 1
-            value = row[target]
             if value == float("-inf"):
                 continue
             reachable += 1

@@ -36,9 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.bounds_graph import basic_bounds_graph
 from ..core.extended_graph import ExtendedBoundsGraph
 from ..scenarios.base import ParamSpec, RegistryError, get_scenario, scenario_registry
-from ..viz.export import causal_dag, graph_to_dot, graph_to_graphml
-from ..viz.html_report import render_html_report
-from ..viz.spacetime import action_table, spacetime_diagram
 from .analyses import (
     DEFAULT_ANALYSES,
     AnalysisError,
@@ -193,6 +190,8 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             for key, value in result.items():
                 print(f"  {key}: {value}", file=out)
     if args.viz:
+        from ..viz.spacetime import action_table, spacetime_diagram
+
         print("\n" + spacetime_diagram(run), file=out)
         print("\n" + action_table(run), file=out)
     return 0
@@ -512,6 +511,8 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
                 )
             record = matches[0]
         cell, run = _record_run(record)
+        from ..viz.spacetime import action_table, spacetime_diagram
+
         print(f"cell: {cell.describe()}", file=out)
         print("\n" + spacetime_diagram(run), file=out)
         print("\n" + action_table(run), file=out)
@@ -539,6 +540,9 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
         rows_out.append(row)
 
     if args.html is not None:
+        from ..viz.html_report import render_html_report
+        from ..viz.spacetime import spacetime_diagram
+
         telemetry = telemetry_records[-1] if telemetry_records else None
         diagrams: List[Tuple[str, str]] = []
         for record in records[: args.diagrams]:
@@ -594,6 +598,8 @@ def _parse_sigma(run, text: Optional[str]):
 
 
 def _cmd_export(args: argparse.Namespace, out) -> int:
+    from ..viz.export import causal_dag, graph_to_dot, graph_to_graphml
+
     overrides = _parse_single_overrides(args.scenario, args.set or ())
     cell = make_cell(
         args.scenario,

@@ -11,7 +11,13 @@ growth, and real extended bounds graphs from random-net scenarios.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import KnowledgeChecker, PositiveCycleError, WeightedGraph, general
+from repro.core import (
+    KnowledgeChecker,
+    LongestPathEngine,
+    PositiveCycleError,
+    WeightedGraph,
+    general,
+)
 from repro.core.causality import boundary_nodes
 from repro.core.extended_graph import ExtendedBoundsGraph
 from repro.scenarios import flooding_scenario
@@ -255,3 +261,70 @@ def test_batched_knowledge_equals_per_query_knowledge(seed, num_processes):
         for key1, key2 in keys
     ]
     assert per_query == reference
+
+
+# ---------------------------------------------------------------------------
+# Overlay edits by delta.
+# ---------------------------------------------------------------------------
+
+#: Overlay endpoints: base nodes ``n0..n5`` plus ``psi0..psi2``, which start
+#: overlay-only and may later join the base graph.
+ENDPOINTS = [f"n{index}" for index in range(6)] + [f"psi{index}" for index in range(3)]
+
+overlay_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "remove", "grow"]),
+        st.sampled_from(ENDPOINTS),
+        st.sampled_from(ENDPOINTS),
+        st.integers(-4, 2),
+        st.integers(0, 20),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digraph=random_dags(), ops=overlay_ops)
+def test_overlay_edits_match_the_combined_reference(digraph, ops):
+    """``update_overlay`` deltas answer as the naive relaxation of base+overlay.
+
+    Edits interleave with base growth -- including growth that turns an
+    overlay-only vertex into a base node -- and both kernels are driven by
+    the same edits; rows, key sets and ``PositiveCycleError`` must agree.
+    """
+    size, edges = digraph
+    graph = build(size, edges)
+    engines = [
+        LongestPathEngine(graph, vectorized=False),
+        LongestPathEngine(graph, vectorized=True),
+    ]
+    overlay = []
+    for kind, source, target, weight, pick in ops:
+        if kind == "grow":
+            graph.add_edge(source, target, weight)
+            continue
+        if kind == "add":
+            edge, delta = (source, target, weight), {"added": [(source, target, weight)]}
+            overlay.append(edge)
+        elif overlay:
+            edge = overlay.pop(pick % len(overlay))
+            delta = {"removed": [edge]}
+        else:
+            continue
+        for engine in engines:
+            engine.update_overlay(**delta)
+        combined = WeightedGraph()
+        for node in graph.nodes:
+            combined.add_node(node)
+        for base_edge in graph.edges:
+            combined.add_edge(base_edge.source, base_edge.target, base_edge.weight)
+        for overlay_edge in overlay:
+            combined.add_edge(*overlay_edge)
+        for source_node in combined.nodes:
+            expected = reference_row(combined, source_node)
+            for engine in engines:
+                try:
+                    got = engine.overlay_row(source_node), False
+                except PositiveCycleError:
+                    got = None, True
+                assert got == expected, f"mismatch from {source_node} after {kind}"

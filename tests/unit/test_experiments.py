@@ -156,6 +156,28 @@ class TestAnalyses:
         # B acted through the optimal protocol, so the precedence is known.
         assert result["known_gap"] is not None and result["known_gap"] >= 0
 
+    @pytest.mark.parametrize("scenario", ["figure4", "grid-flood"])
+    def test_bounds_passes_share_one_graph_in_either_order(self, scenario, monkeypatch):
+        from repro.experiments import analyses
+
+        builds = []
+        build = analyses.basic_bounds_graph
+
+        def counting_build(run):
+            builds.append(run)
+            return build(run)
+
+        monkeypatch.setattr(analyses, "basic_bounds_graph", counting_build)
+        run = build_cell_scenario(make_cell(scenario, adversary="latest", seed=3)).run()
+        forward = run_analyses(run, ["bounds_graph", "bounds_stats"])
+        backward = run_analyses(run, ["bounds_stats", "bounds_graph"])
+        assert len(builds) == 2  # one GB(r) per run_analyses call
+        assert forward == backward
+        # A pass called on its own builds its own graph, with the same record.
+        for name in ("bounds_graph", "bounds_stats"):
+            assert get_analysis(name).run(run) == forward[name]
+        assert len(builds) == 4
+
     def test_results_are_json_serialisable(self, figure1_run):
         results = run_analyses(figure1_run, list_analyses())
         json.dumps(results)  # must not raise

@@ -1,15 +1,27 @@
 """Unit tests for the engine overlay layer and the incremental knowledge session."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import KnowledgeChecker, KnowledgeSession, general
 from repro.core.causality import boundary_nodes, past_nodes
-from repro.core.extended_graph import ExtendedGraphError
+from repro.core.extended_graph import (
+    AUXILIARY_EDGE,
+    CHAIN_ANCHOR_EDGE,
+    FLOODING_EDGE,
+    UNDELIVERED_EDGE,
+    ExtendedBoundsGraph,
+    ExtendedGraphError,
+)
 from repro.core.graph import NEG_INF, PositiveCycleError, WeightedGraph
 from repro.coordination.optimal import find_go_node
+from repro.experiments.analyses import infer_roles
+from repro.scenarios import get_scenario
 from repro.simulation import (
     Context,
     EarliestDelivery,
+    LatestDelivery,
     ProtocolAssignment,
     actor_protocol,
     fully_connected,
@@ -18,6 +30,9 @@ from repro.simulation import (
     simulate,
 )
 from repro.simulation.interning import intern_pool
+
+#: Edge labels of the retractable psi layer of ``GE(r, sigma)``.
+PSI_LABELS = {AUXILIARY_EDGE, UNDELIVERED_EDGE, FLOODING_EDGE, CHAIN_ANCHOR_EDGE}
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +139,65 @@ class TestEngineOverlay:
         engine.set_overlay([("a", "x", 8)])
         assert engine.overlay_weight("a", "x") == 8
         assert engine.stats.overlay_rows_computed == computed + 1
+
+    def test_retracted_overlay_vertex_is_gone_after_reinstall(self):
+        graph = self.base_graph()
+        engine = graph.engine
+        engine.set_overlay([("b", "psi", 1), ("psi", "a", -4), ("c", "x", 2)])
+        assert engine.overlay_weight("a", "x") == 7
+        engine.set_overlay([("b", "psi", 1)])
+        with pytest.raises(KeyError):
+            engine.overlay_weight("x", "a")
+        with pytest.raises(KeyError):
+            engine.overlay_weight("a", "x")
+        assert set(engine.overlay_row("a")) == {"a", "b", "c", "psi"}
+        # The same holds when the retraction is a delta.
+        engine.update_overlay(removed=[("b", "psi", 1)])
+        with pytest.raises(KeyError):
+            engine.overlay_weight("a", "psi")
+        assert set(engine.overlay_row("a")) == {"a", "b", "c"}
+        # A released slot is reused by the next fresh vertex, answers exact.
+        engine.update_overlay(added=[("c", "y", 5)])
+        assert set(engine.overlay_row("a")) == {"a", "b", "c", "y"}
+        assert engine.overlay_weight("a", "y") == 10
+
+    def test_update_overlay_matches_set_overlay(self):
+        graph = self.base_graph()
+        edited = graph.engine
+        fresh = combined_reference(graph, []).engine
+        edited.set_overlay([("b", "psi", 1), ("psi", "a", -4), ("psi", "a", -4)])
+        edited.update_overlay(added=[("c", "psi", -3), ("psi", "q", 3)], removed=[("psi", "a", -4)])
+        overlay = [("b", "psi", 1), ("psi", "a", -4), ("c", "psi", -3), ("psi", "q", 3)]
+        assert sorted(edited.overlay_edges()) == sorted(overlay)
+        fresh.set_overlay(overlay)
+        for source in ("a", "b", "c", "psi", "q"):
+            assert edited.overlay_row(source) == fresh.overlay_row(source)
+        with pytest.raises(KeyError):
+            edited.update_overlay(removed=[("a", "b", 99)])
+
+    def test_overlay_vertex_joining_the_base_is_remapped(self):
+        graph = self.base_graph()
+        engine = graph.engine
+        engine.set_overlay([("c", "x", 1), ("x", "d", 2)])
+        assert engine.overlay_weight("a", "d") == 8
+        graph.add_edge("x", "a", -10)  # x is now a base node too
+        reference = combined_reference(graph, [("c", "x", 1), ("x", "d", 2)])
+        for source in ("a", "b", "c", "x", "d"):
+            assert engine.overlay_row(source) == reference.longest_path_weights(
+                source, reference=True
+            )
+
+    def test_edits_map_only_the_changed_edges(self):
+        graph = self.base_graph()
+        engine = graph.engine
+        engine.set_overlay([("b", "psi", 1), ("psi", "a", -4)])
+        assert engine.stats.overlay_edges_mapped == 2
+        engine.update_overlay(added=[("psi", "a", -4), ("c", "psi", -3)])
+        assert engine.stats.overlay_edges_mapped == 3  # a duplicate maps nothing
+        graph.add_edge("c", "d", 1)  # base growth does not remap the overlay
+        engine.update_overlay(removed=[("psi", "a", -4)])
+        assert engine.overlay_weight("psi", "a") == -4
+        assert engine.stats.overlay_edges_mapped == 3
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +333,47 @@ class TestKnowledgeSession:
                 assert session.knows(theta, node, margin) == checker.knows(
                     theta, node, margin
                 )
+
+    @pytest.mark.parametrize("delivery", [EarliestDelivery, LatestDelivery])
+    def test_guard_replay_maps_only_psi_changes(self, delivery):
+        """Per step, the engine maps the psi edges that changed, not the layer.
+
+        Replays Protocol 2's guard along B's timeline.  After every query the
+        installed overlay must equal the psi layer of a fresh
+        ``GE(r, sigma)`` (E', E'', E''' and the chain anchors), and the edges
+        mapped so far must not exceed the static E''' set once plus the psi
+        edges each install added: the O(delta) install contract.
+        """
+        run = get_scenario("figure4").build(num_forks=8).with_delivery(delivery()).run()
+        net = run.timed_network
+        roles = infer_roles(run)
+        session = KnowledgeSession(net)
+        installed = Counter()
+        changed = 0
+        queried = 0
+        for _, node in run.timelines[roles["actor_b"]]:
+            session.advance(node)
+            go_node = session.find_go_node(roles["go_sender"])
+            if go_node is None:
+                continue
+            theta = general(go_node, (roles["go_sender"], roles["actor_a"]))
+            session.knows(theta, node, 0)
+            queried += 1
+            extended = ExtendedBoundsGraph(node, net)
+            extended.add_general_node(theta)
+            psi_layer = Counter(
+                (edge.source, edge.target, edge.weight)
+                for edge in extended.graph.edges
+                if edge.label in PSI_LABELS
+            )
+            assert Counter(session._graph.engine.overlay_edges()) == psi_layer
+            changed += sum((psi_layer - installed).values())
+            installed = psi_layer
+        assert queried > 5
+        mapped = session.engine_stats.overlay_edges_mapped
+        assert mapped <= changed
+        # Re-mapping the whole layer per install would cost far more.
+        assert mapped < queried * sum(installed.values()) / 2
 
     def test_describe_mentions_progress(self, coordination_run):
         run = coordination_run

@@ -86,6 +86,7 @@ class TestBatchAndMemoization:
             "overlay_rows_computed",
             "overlay_row_cache_hits",
             "overlay_installs",
+            "overlay_edges_mapped",
         }
 
 
