@@ -23,6 +23,7 @@ invariant by skipping the pre-filter.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .runner import TELEMETRY_KIND
@@ -35,7 +36,9 @@ __all__ = [
     "flatten_scalars",
     "format_aggregate",
     "group_records",
+    "is_cell",
     "report_payload",
+    "report_row",
 ]
 
 #: Metrics aggregated when none are requested explicitly (shared by
@@ -53,23 +56,23 @@ DEFAULT_REPORT_METRICS = (
 )
 
 
+def is_cell(record: Mapping[str, Any], require_ok: bool = True) -> bool:
+    """Whether one store record is a sweep *cell*: telemetry never is.
+
+    With ``require_ok`` (the default for report tables) error cells are not
+    either; ``require_ok=False`` keeps them for surfaces that show failures
+    but must still exclude telemetry.
+    """
+    if record.get("kind") == TELEMETRY_KIND:
+        return False
+    return not require_ok or record.get("status") == "ok"
+
+
 def cell_records(
     records: Sequence[Mapping[str, Any]], require_ok: bool = True
 ) -> List[Mapping[str, Any]]:
-    """Only the sweep *cells* of a store scan: telemetry records never pass.
-
-    With ``require_ok`` (the default for report tables) error cells are
-    dropped too; ``require_ok=False`` keeps them for surfaces that show
-    failures but must still exclude telemetry.
-    """
-    out: List[Mapping[str, Any]] = []
-    for record in records:
-        if record.get("kind") == TELEMETRY_KIND:
-            continue
-        if require_ok and record.get("status") != "ok":
-            continue
-        out.append(record)
-    return out
+    """Only the sweep *cells* of a store scan (see :func:`is_cell`)."""
+    return [record for record in records if is_cell(record, require_ok)]
 
 
 def flatten_scalars(value: Any, prefix: str = "") -> Dict[str, Any]:
@@ -86,13 +89,21 @@ def flatten_scalars(value: Any, prefix: str = "") -> Dict[str, Any]:
 
 
 def _flatten_into(prefix: str, value: Any, into: Dict[str, Any]) -> None:
-    if isinstance(value, Mapping):
+    # Exact JSON types are dispatched by identity first; isinstance(value,
+    # Mapping) is an ABC check, several times slower.  Other types (subclasses,
+    # tuples, enums) fall through to the isinstance tests.
+    kind = type(value)
+    if kind is str or kind is bool or value is None:
+        into[prefix] = value
+    elif kind is float or kind is int:
+        into[prefix] = float(value)
+    elif kind is dict or (kind is not list and isinstance(value, Mapping)):
         for key, inner in value.items():
             _flatten_into(f"{prefix}.{key}" if prefix else str(key), inner, into)
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or isinstance(value, (list, tuple)):
         for index, inner in enumerate(value):
             _flatten_into(f"{prefix}.{index}" if prefix else str(index), inner, into)
-    elif isinstance(value, bool) or value is None or isinstance(value, str):
+    elif isinstance(value, str):
         into[prefix] = value
     elif isinstance(value, (int, float)):
         into[prefix] = float(value)
@@ -100,23 +111,34 @@ def _flatten_into(prefix: str, value: Any, into: Dict[str, Any]) -> None:
         into[prefix] = repr(value)
 
 
+def report_row(record: Mapping[str, Any], source: str = "analyses") -> Dict[str, Any]:
+    """One record's report row: its ``source`` section, flattened."""
+    return flatten_scalars(record.get(source, {}))
+
+
 def group_records(
     records: Sequence[Mapping[str, Any]],
     group_fields: Sequence[str],
     source: str = "analyses",
-) -> Dict[Tuple[str, ...], List[Dict[str, Any]]]:
+    rows: Optional[Sequence[Mapping[str, Any]]] = None,
+) -> Dict[Tuple[str, ...], List[Mapping[str, Any]]]:
     """Bucket records by their group-field values; rows are flattened leaves.
+
+    ``rows``, when given, holds each record's :func:`report_row` already
+    flattened (``rows[i]`` belongs to ``records[i]``), so a caller that
+    keeps rows across reports does not flatten again.
 
     Telemetry records are skipped even if a caller forgot
     :func:`cell_records`: a ``sweep_telemetry`` record carries no analyses,
     and counting it as a cell would corrupt every ``cells`` column.
     """
-    groups: Dict[Tuple[str, ...], List[Dict[str, Any]]] = {}
-    for record in records:
+    groups: Dict[Tuple[str, ...], List[Mapping[str, Any]]] = {}
+    for index, record in enumerate(records):
         if record.get("kind") == TELEMETRY_KIND:
             continue
-        group = tuple(str(record.get(field, "?")) for field in group_fields)
-        groups.setdefault(group, []).append(flatten_scalars(record.get(source, {})))
+        group = tuple([str(record.get(field, "?")) for field in group_fields])
+        row = report_row(record, source) if rows is None else rows[index]
+        groups.setdefault(group, []).append(row)
     return groups
 
 
@@ -133,7 +155,7 @@ def aggregate_metric(
     values = [row[metric] for row in rows if metric in row]
     if not values:
         return None
-    if all(isinstance(v, float) and not isinstance(v, bool) for v in values):
+    if all(map(isinstance, values, repeat(float))):  # a bool is no float
         return {
             "mean": sum(values) / len(values),
             "min": min(values),
@@ -160,6 +182,7 @@ def report_payload(
     records: Sequence[Mapping[str, Any]],
     group_fields: Sequence[str],
     metrics: Optional[Sequence[str]] = None,
+    rows: Optional[Sequence[Mapping[str, Any]]] = None,
 ) -> List[Dict[str, Any]]:
     """The machine-readable report: one dict per group, sorted by group.
 
@@ -167,10 +190,11 @@ def report_payload(
     :func:`aggregate_metric` summary per requested metric (absent metrics
     are omitted, not ``None``-padded).  This is the single shape behind
     ``repro report --json`` and the serve ``/report`` endpoint, so the two
-    surfaces can never drift.
+    surfaces can never drift.  ``rows`` passes pre-flattened rows through to
+    :func:`group_records`; records then need no ``analyses``.
     """
     chosen = list(metrics) if metrics else list(DEFAULT_REPORT_METRICS)
-    groups = group_records(records, group_fields)
+    groups = group_records(records, group_fields, rows=rows)
     payload: List[Dict[str, Any]] = []
     for group, rows in sorted(groups.items()):
         entry: Dict[str, Any] = dict(zip(group_fields, group))

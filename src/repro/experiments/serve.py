@@ -23,7 +23,7 @@ bodies) — no new dependencies.  Endpoints:
                           missing record of a known cell degrades to
                           recompute-and-supersede (PR 9 semantics)
 ``GET /report``           aggregated report over the store (or one sweep),
-                          cached against the store's on-disk signature
+                          cached until the store view changes
 ``GET /healthz``          liveness + store layout
 ``GET /metrics``          the ``repro.obs`` registry snapshot
 ========================  ====================================================
@@ -37,11 +37,15 @@ Invariants this module rides on (and must preserve):
   fallback drains shards — and either way every record reaches the handler
   through ``FabricScheduler.complete``/``record_local``, whose dedup fires
   the handler exactly once per cell.
-* **The store is the shared source of truth.**  Every request opens its own
-  :class:`ResultStore` view, so reads ride the store invariants (tail always
-  scanned in full, advisory index, tail-wins lookups, flock'd appends) and a
-  serve process coexists with CLI sweeps on the same store.  ``/results``
-  stays correct with the index deleted, stale, or disabled.
+* **The store is the shared source of truth.**  The service reads through
+  one long-lived :class:`ResultStore` view that every read request brings
+  up to date with :meth:`ResultStore.refresh` first: appends (by this
+  service's sweep jobs or a CLI sweep sharing the store) arrive as a tail
+  delta, and rotation, compaction, recovery or repair force a full reload.
+  Reads therefore ride the store invariants (advisory index, tail-wins
+  lookups, flock'd appends) and ``/results`` stays correct with the index
+  deleted, stale, or disabled.  The view never writes: sweep jobs and
+  recomputes append through writer stores of their own.
 * **Telemetry is free.**  Every request increments ``serve.*`` counters and
   runs under :func:`~repro.obs.trace.span`, so ``/metrics`` self-reports the
   service's own traffic.
@@ -64,10 +68,9 @@ from ..obs.trace import span
 from ..scenarios.base import RegistryError, get_scenario
 from .analyses import AnalysisError, get_analysis
 from .remote import RemoteExecutor
-from .reporting import DEFAULT_REPORT_METRICS, cell_records, report_payload
+from .reporting import DEFAULT_REPORT_METRICS, is_cell, report_payload, report_row
 from .runner import (
     ADVERSARIES,
-    TELEMETRY_KIND,
     SweepCell,
     SweepError,
     execute_cell,
@@ -376,6 +379,72 @@ class SweepJob:
 
 
 # ---------------------------------------------------------------------------
+# The store view.
+# ---------------------------------------------------------------------------
+
+
+_ReportEntry = Optional[Tuple[Dict[str, Any], Dict[str, Any]]]
+
+
+def _report_entry(record: Mapping[str, Any]) -> _ReportEntry:
+    """A report cell as (the record without ``analyses``, its report row);
+    ``None`` for records no report counts (telemetry, error cells)."""
+    if not is_cell(record):
+        return None
+    slim = {name: value for name, value in record.items() if name != "analyses"}
+    return slim, report_row(record)
+
+
+class _StoreView:
+    """One long-lived store view, refreshed by delta, plus the report memo.
+
+    ``reports`` caches report payloads; it is emptied whenever a refresh
+    changes anything, so a cached report is always current.  The memo maps
+    every stored key, in :meth:`ResultStore.records` order, to its
+    :func:`_report_entry`; it is built on the first report by streaming the
+    store one segment at a time, and afterwards only the keys a refresh
+    reports are flattened again.  Keeping the order keeps every float sum,
+    and so the payload, bit-identical to a fresh scan.  Callers hold
+    ``lock`` around every use.
+    """
+
+    def __init__(self, store: ResultStore):
+        self.store = store
+        self.lock = threading.Lock()
+        self.reports: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
+        self._memo: Optional[Dict[str, _ReportEntry]] = None
+
+    def refresh(self) -> ResultStore:
+        changed = self.store.refresh()
+        if changed is None:
+            self.reports.clear()
+            self._memo = None
+        elif changed:
+            self.reports.clear()
+            if self._memo is not None:
+                for key in changed:
+                    self._memo[key] = _report_entry(self.store.get(key))
+        return self.store
+
+    def report_cells(
+        self, keys: Optional[frozenset] = None
+    ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+        """The report cells (optionally only ``keys``) and their rows."""
+        if self._memo is None:
+            memo: Dict[str, _ReportEntry] = {}
+            for record in self.store.iter_records():
+                memo[record["key"]] = _report_entry(record)
+            self._memo = memo
+        records: List[Dict[str, Any]] = []
+        rows: List[Dict[str, Any]] = []
+        for entry in self._memo.values():
+            if entry is not None and (keys is None or entry[0]["key"] in keys):
+                records.append(entry[0])
+                rows.append(entry[1])
+        return records, rows
+
+
+# ---------------------------------------------------------------------------
 # The service.
 # ---------------------------------------------------------------------------
 
@@ -416,7 +485,7 @@ class SweepService:
         self._jobs: Dict[str, SweepJob] = {}
         self._digests: Dict[str, List[str]] = {}  # grid digest -> job ids
         self._known_cells: Dict[str, SweepCell] = {}
-        self._report_cache: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
+        self._view = _StoreView(self._open_store())
         self._queue: "queue.Queue[Optional[SweepJob]]" = queue.Queue()
         self._runner: Optional[threading.Thread] = None
         self._server: Optional[ThreadingHTTPServer] = None
@@ -426,8 +495,7 @@ class SweepService:
     # -- store views -------------------------------------------------------
 
     def _open_store(self) -> ResultStore:
-        """A fresh per-request view: re-reads disk, so a CLI sweep writing
-        the same store (flock'd appends, tail-wins lookups) is visible."""
+        """A new store object: the read view, or a writer of its own."""
         if self.rotate_bytes is None:
             return ResultStore(self.store_path)
         return ResultStore(self.store_path, rotate_bytes=self.rotate_bytes or None)
@@ -459,16 +527,13 @@ class SweepService:
                 self._known_cells.setdefault(cell.key(), cell)
         # Instant cache accounting: probe the store once per cell so the
         # POST response already says how much of the grid is hot.
-        store = self._open_store()
         hot = 0
-        for cell in cells:
-            record = store.get(cell.key())
-            if (
-                record is not None
-                and record.get("kind") != TELEMETRY_KIND
-                and record.get("status") == "ok"
-            ):
-                hot += 1
+        with self._view.lock:
+            store = self._view.refresh()
+            for cell in cells:
+                record = store.get(cell.key())
+                if record is not None and is_cell(record):
+                    hot += 1
         _C_CACHE_HIT.value += hot
         _C_CACHE_MISS.value += len(cells) - hot
         _C_SWEEPS_POSTED.value += 1
@@ -574,10 +639,10 @@ class SweepService:
 
     def result(self, key: str) -> Optional[Dict[str, Any]]:
         """One record by cell key; a lost/damaged record of a known cell
-        recomputes and supersedes (exactly the store's PR 9 degradation:
-        a CRC-failed read is a cache miss, never a served wrong record)."""
-        store = self._open_store()
-        record = store.get(key)
+        recomputes and supersedes (exactly the store's degradation: a
+        CRC-failed read is a cache miss, never a served wrong record)."""
+        with self._view.lock:
+            record = self._view.refresh().get(key)
         if record is not None:
             _C_CACHE_HIT.value += 1
             return record
@@ -589,7 +654,9 @@ class SweepService:
         self.log(f"result {key[:12]}: store miss for a known cell, recomputing")
         with span("serve.recompute", key=key[:12]):
             fresh, _ = execute_cell(cell)
-        store.put(fresh)  # newest-per-key wins: the recompute supersedes
+        # Newest-per-key wins: the recompute supersedes; the view reads the
+        # append back on its next refresh.
+        self._open_store().put(fresh)
         return fresh
 
     def report(
@@ -601,10 +668,12 @@ class SweepService:
     ) -> Optional[Dict[str, Any]]:
         """Aggregate the store (or one sweep's cells) into a report payload.
 
-        Cached against the store's on-disk :meth:`~ResultStore.stat_signature`
-        — a repeat request over an unchanged store is a pure cache hit (no
-        records re-read, no cells recomputed), and any append (this process
-        or a CLI sweep on the same store) invalidates naturally.
+        Cached in the store view: a repeat request over an unchanged
+        store is a pure cache hit (no records re-read, no cells recomputed),
+        and any change the view's refresh sees (an append by this process
+        or a CLI sweep on the same store, a rotation, a compaction)
+        invalidates it.  A miss aggregates the view's memoized rows, so
+        after the first report only changed records are flattened again.
         """
         chosen = tuple(metrics) if metrics else DEFAULT_REPORT_METRICS
         keys: Optional[frozenset] = None
@@ -613,31 +682,31 @@ class SweepService:
             if job is None:
                 return None
             keys = frozenset(cell.key() for cell in job.cells)
-        store = self._open_store()
-        cache_key = (sweep, tuple(group_by), chosen, store.stat_signature())
-        with self._lock:
-            cached = self._report_cache.get(cache_key)
-        if cached is not None:
-            _C_CACHE_HIT.value += 1
-            return {**cached, "served_from_cache": True}
-        _C_CACHE_MISS.value += 1
-        with span("serve.report", groups=len(group_by)):
-            records = cell_records(store.records())
-            if keys is not None:
-                records = [record for record in records if record.get("key") in keys]
-            payload: Dict[str, Any] = {
-                "store": self.store_path,
-                "group_by": list(group_by),
-                "metrics": list(chosen),
-                "records": len(records),
-                "groups": report_payload(records, list(group_by), list(chosen)),
-            }
-            if sweep is not None:
-                payload["sweep"] = sweep
-        with self._lock:
-            if len(self._report_cache) >= 64:
-                self._report_cache.clear()
-            self._report_cache[cache_key] = payload
+        view = self._view
+        with view.lock:
+            view.refresh()
+            cache_key = (sweep, tuple(group_by), chosen)
+            cached = view.reports.get(cache_key)
+            if cached is not None:
+                _C_CACHE_HIT.value += 1
+                return {**cached, "served_from_cache": True}
+            _C_CACHE_MISS.value += 1
+            with span("serve.report", groups=len(group_by)):
+                records, rows = view.report_cells(keys)
+                payload: Dict[str, Any] = {
+                    "store": self.store_path,
+                    "group_by": list(group_by),
+                    "metrics": list(chosen),
+                    "records": len(records),
+                    "groups": report_payload(
+                        records, list(group_by), list(chosen), rows=rows
+                    ),
+                }
+                if sweep is not None:
+                    payload["sweep"] = sweep
+            if len(view.reports) >= 64:
+                view.reports.clear()
+            view.reports[cache_key] = payload
         return {**payload, "served_from_cache": False}
 
     def healthz(self) -> Dict[str, Any]:
@@ -710,6 +779,10 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # Headers and body leave in two writes; with Nagle's algorithm the body
+    # waits for the client's delayed ACK of the headers (~40 ms per
+    # keep-alive response).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SweepService:

@@ -66,6 +66,10 @@ by other coordinators, so a persisted index always covers every segment it
 declares — a reader never loads a "fresh" index that silently misses
 another writer's records.  Anything that still goes stale (a racing index
 write losing to an older one) fails the freshness check and is rebuilt.
+A long-lived reader (``repro serve``) keeps one view current with
+:meth:`ResultStore.refresh`: appends reach it as a tail delta, and every
+rewrite (rotation, compaction, recovery, repair) changes a file identity it
+checks, which forces a full reload.
 
 Storage fault injection (``repro sweep --chaos`` with storage kinds, see
 :mod:`repro.experiments.faults`) is consulted cooperatively at three
@@ -185,23 +189,27 @@ def _wrap_record(record: Mapping[str, Any]) -> bytes:
 
 
 def _unwrap_record(line: bytes) -> Optional[Dict[str, Any]]:
-    """Decode and CRC-verify one sealed line; ``None`` on any mismatch."""
+    """Decode and CRC-verify one sealed line; ``None`` on any mismatch.
+
+    The CRC covers the stored ``"r"`` body bytes exactly as
+    :func:`_wrap_record` wrote them, so a record is checked without being
+    re-encoded.  Anything not shaped ``{"c":N,"r":...}`` is rejected.
+    """
     stripped = line.strip()
-    if not stripped:
+    if not stripped.startswith(b'{"c":') or not stripped.endswith(b"}"):
+        return None
+    sep = stripped.find(b',"r":', 5)
+    digits = stripped[5:sep]
+    if sep < 0 or not digits.isdigit():
+        return None
+    body = stripped[sep + 5 : -1]
+    if _crc32(body) != int(digits):
         return None
     try:
-        wrapper = json.loads(stripped)
-    except (json.JSONDecodeError, UnicodeDecodeError):
+        record = json.loads(body)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
         return None
-    if not isinstance(wrapper, dict) or "r" not in wrapper:
-        return None
-    record = wrapper.get("r")
-    crc = wrapper.get("c")
     if not isinstance(record, dict) or not isinstance(record.get("key"), str):
-        return None
-    if not isinstance(crc, int):
-        return None
-    if _crc32(canonical_json(record).encode("utf-8")) != crc:
         return None
     return record
 
@@ -230,7 +238,7 @@ class ResultStore:
         self.use_index = use_index
         self._tail: Dict[str, Dict[str, Any]] = {}
         self._sealed_cache: Dict[str, Dict[str, Any]] = {}
-        self._locators: Dict[str, Tuple[int, int, int]] = {}
+        self._locators: Dict[str, Sequence[int]] = {}
         self._segments: List[str] = []
         # Segments whose records the in-memory view (locators or full-scan
         # cache) actually covers.  With several coordinators sealing into one
@@ -239,6 +247,14 @@ class ResultStore:
         # segment list it declares.
         self._covered: set = set()
         self._loaded = False
+        # What :meth:`refresh` compares the disk against: the tail's identity
+        # and the bytes consumed from it (up to its last newline), and the
+        # sealed segments as loaded.  ``_segment_sig = None`` forces the
+        # next refresh to reload in full; every rewrite by this instance
+        # sets it.
+        self._tail_inode: Optional[Tuple[int, int]] = None
+        self._tail_offset = 0
+        self._segment_sig: Optional[Tuple[Tuple[Any, ...], ...]] = None
 
     # -- layout ------------------------------------------------------------
 
@@ -260,31 +276,16 @@ class ResultStore:
             return []
         return sorted(name for name in names if _SEGMENT_RE.match(name))
 
-    def stat_signature(self) -> Tuple[Any, ...]:
-        """A cheap fingerprint of the on-disk state — no record is read.
-
-        Covers the tail, the advisory index, and every sealed segment as
-        ``(name, size, mtime_ns)`` triples: any append (flock'd, so it
-        always grows the tail), seal, compaction, or repair — by this
-        process or another one sharing the store — changes the signature.
-        ``repro serve`` keys its report cache on this, so repeat reports
-        over an unchanged store are pure cache hits while a concurrent CLI
-        sweep invalidates them naturally.
-        """
-
-        def stat(path: str) -> Optional[Tuple[int, int]]:
+    def _segment_signature(self, names: Sequence[str]) -> Tuple[Tuple[Any, ...], ...]:
+        """``(name, size, mtime_ns, inode)`` per sealed segment; no record read."""
+        parts = []
+        for name in names:
             try:
-                info = os.stat(path)
+                info = os.stat(self._segment_path(name))
             except OSError:
-                return None
-            return (info.st_size, info.st_mtime_ns)
-
-        parts: List[Tuple[Any, ...]] = [
-            ("tail", stat(self.path)),
-            ("index", stat(self.index_path)),
-        ]
-        for name in self._list_segments():
-            parts.append((name, stat(self._segment_path(name))))
+                parts.append((name,))
+                continue
+            parts.append((name, info.st_size, info.st_mtime_ns, info.st_ino))
         return tuple(parts)
 
     def _next_segment_name(self) -> str:
@@ -301,26 +302,45 @@ class ResultStore:
         if self._loaded:
             return
         self._loaded = True
-        self._segments = self._list_segments()
-        if self._segments:
-            if self.use_index:
-                if not self._try_load_index():
-                    self._rebuild_index()
-            else:
-                self._scan_segments()
-        self._load_tail()
-
-    def _load_tail(self) -> None:
-        self._tail = {}
+        # The tail is opened before the segments are listed: a rotation
+        # seals its segment before it replaces the tail, so the records of
+        # the tail held open are either still in it or already listed.
+        handle = self._open_tail()
         try:
-            handle = open(self.path, "rb")
+            self._segments = self._list_segments()
+            self._segment_sig = self._segment_signature(self._segments)
+            if self._segments:
+                if self.use_index:
+                    if not self._try_load_index():
+                        self._rebuild_index()
+                else:
+                    self._scan_segments()
+            self._load_tail(handle)
+        finally:
+            if handle is not None:
+                handle.close()
+
+    def _open_tail(self):
+        try:
+            return open(self.path, "rb")
         except FileNotFoundError:
+            return None
+
+    def _load_tail(self, handle) -> None:
+        """Read the whole tail through an open ``handle`` (``None``: no tail)."""
+        self._tail = {}
+        self._tail_inode = None
+        self._tail_offset = 0
+        if handle is None:
             return
-        with handle:
-            for line in handle:
-                record = _parse_line(line)
-                if record is not None:
-                    self._tail[record["key"]] = record
+        info = os.fstat(handle.fileno())
+        self._tail_inode = (info.st_dev, info.st_ino)
+        for line in handle:
+            if line.endswith(b"\n"):  # only the last line can lack one
+                self._tail_offset += len(line)
+            record = _parse_line(line)
+            if record is not None:
+                self._tail[record["key"]] = record
 
     def reload(self) -> None:
         """Drop every in-memory view and re-read the disk on next access."""
@@ -330,6 +350,61 @@ class ResultStore:
         self._segments = []
         self._covered = set()
         self._loaded = False
+        self._segment_sig = None
+
+    def refresh(self) -> Optional[Tuple[str, ...]]:
+        """Bring the view up to date with the disk, by delta when possible.
+
+        Re-stats the tail and every sealed segment and reads only the tail
+        bytes appended since the last load or refresh, up to the last
+        newline (a half-written line waits for its newline).  Returns the
+        keys whose newest record those bytes changed, in first-seen order,
+        or ``None`` after a full reload, which happens when a segment's
+        name, size, mtime or inode changed, the tail has a different inode
+        (rotation, compaction and recovery replace it), or the tail is
+        smaller than the bytes consumed (an in-place rewrite).  A view that
+        is refreshed this way must not also :meth:`put`: its own appends
+        would enter the view out of file order.
+        """
+        if not self._loaded:
+            self._ensure_loaded()
+            return None
+        handle = self._open_tail()
+        try:
+            info = os.fstat(handle.fileno()) if handle is not None else None
+            inode = (info.st_dev, info.st_ino) if info is not None else None
+            size = info.st_size if info is not None else 0
+            stale = (
+                inode != self._tail_inode
+                or size < self._tail_offset
+                or self._segment_sig is None
+                or self._segment_signature(self._list_segments()) != self._segment_sig
+            )
+            delta = b""
+            if not stale and size > self._tail_offset:
+                handle.seek(max(0, self._tail_offset - 1))
+                delta = handle.read()
+                if self._tail_offset:
+                    # The last consumed byte must still be the newline the
+                    # consumed bytes ended with.
+                    stale = delta[:1] != b"\n"
+                    delta = delta[1:]
+        finally:
+            if handle is not None:
+                handle.close()
+        if stale:
+            self.reload()
+            self._ensure_loaded()
+            return None
+        end = delta.rfind(b"\n") + 1
+        self._tail_offset += end
+        changed: Dict[str, None] = {}
+        for line in delta[:end].split(b"\n"):
+            record = _parse_line(line)
+            if record is not None:
+                self._tail[record["key"]] = record
+                changed[record["key"]] = None
+        return tuple(changed)
 
     # -- index -------------------------------------------------------------
 
@@ -359,15 +434,17 @@ class ResultStore:
                 return False
             if data.get("segments") != self._segment_stats():
                 return False
-            entries = data["entries"]
-            locators: Dict[str, Tuple[int, int, int]] = {}
-            count = len(self._segments)
-            for key, loc in entries.items():
-                si, offset, length = loc
-                if not 0 <= si < count:
+            # The decoded [segment, offset, length] lists serve as locators
+            # as they are; checking them column-wise keeps a cold open of a
+            # large index cheap.
+            locators = data["entries"]
+            if locators:
+                if set(map(len, locators.values())) != {3}:
                     return False
-                locators[key] = (si, offset, length)
-        except (OSError, ValueError, KeyError, TypeError):
+                segments = [loc[0] for loc in locators.values()]
+                if min(segments) < 0 or max(segments) >= len(self._segments):
+                    return False
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return False
         self._locators = locators
         self._covered = set(self._segments)
@@ -503,7 +580,6 @@ class ResultStore:
             # fresh tail record supersedes the corrupt sealed one.
             _C_CRC_FAILURES.value += 1
             return None
-        self._sealed_cache[key] = record
         return record
 
     # -- locking -----------------------------------------------------------
@@ -581,6 +657,21 @@ class ResultStore:
         merged.update(dict.fromkeys(self._tail))
         return tuple(merged)
 
+    def iter_records(self) -> Iterator[Dict[str, Any]]:
+        """Every stored record, one sealed segment at a time, then the tail.
+
+        A key may repeat: a later record supersedes an earlier one with the
+        same key, at the earlier one's position (see :meth:`records`).
+        Corrupt sealed records are skipped; only one segment's bytes are
+        held at a time.
+        """
+        self._ensure_loaded()
+        for name in self._segments:
+            for record, _, _ in self._iter_segment(name):
+                if record is not None:
+                    yield record
+        yield from list(self._tail.values())
+
     def records(self) -> List[Dict[str, Any]]:
         """All current records (newest per key), in insertion order.
 
@@ -588,14 +679,9 @@ class ResultStore:
         segments are read in order, then the tail overrides (tail records
         are always newer than sealed ones).
         """
-        self._ensure_loaded()
         merged: Dict[str, Dict[str, Any]] = {}
-        for name in self._segments:
-            for record, _, _ in self._iter_segment(name):
-                if record is not None:
-                    merged[record["key"]] = record
-        for key, record in self._tail.items():
-            merged[key] = record
+        for record in self.iter_records():
+            merged[record["key"]] = record
         return list(merged.values())
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
@@ -839,6 +925,7 @@ class ResultStore:
             for record in sealed:
                 self._sealed_cache[record["key"]] = record
             self._tail = {}
+            self._segment_sig = None
         _C_ROTATIONS.value += 1
         return name
 
@@ -894,7 +981,9 @@ class ResultStore:
                 clean = raw.endswith(b"\n") or not raw
                 if dropped or not clean:
                     self._atomic_rewrite(kept)
-                    self._load_tail()
+                    with open(self.path, "rb") as handle:
+                        self._load_tail(handle)
+                    self._segment_sig = None
         on_disk = self._list_segments()
         if on_disk != self._segments or (
             on_disk and self.use_index and not self._try_load_index()
@@ -1014,6 +1103,7 @@ class ResultStore:
                 self._locators = {}
                 self._sealed_cache = {}
                 self._tail = merged
+            self._segment_sig = None
         dropped = total_lines - len(merged)
         _C_COMPACT_DROPPED.value += dropped
         return dropped
@@ -1086,6 +1176,7 @@ class ResultStore:
                 for name, good in damaged.items():
                     self._write_segment(name, good, fire_faults=False)
                 report["repaired"] = bool(damaged) or report["tail_torn_lines"] > 0
+                self._segment_sig = None
         if repair:
             # Outside the exclusive lock: recover() and the index rebuild
             # take their own locks.

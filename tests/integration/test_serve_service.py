@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -21,6 +22,8 @@ import urllib.request
 import pytest
 
 from repro.experiments import ResultStore, expand_grid, run_sweep
+from repro.experiments.cli import main as cli_main
+from repro.experiments.reporting import DEFAULT_REPORT_METRICS, cell_records, report_payload
 from repro.experiments.serve import SweepService
 from repro.obs import metrics as obs_metrics
 from repro.obs.collect import registry_baseline, registry_delta
@@ -213,3 +216,95 @@ def test_results_survive_index_deletion_and_recompute_damaged_records(service):
     # The recompute superseded the damaged line: the next read is a plain
     # store hit again.
     assert ResultStore(service.store_path).get(victim)["status"] == "ok"
+
+
+GROUPINGS = ("scenario,adversary", "adversary", "seed")
+
+
+def _reference_groups(path, group_by, keys=None):
+    records = cell_records(ResultStore(path).records())
+    if keys is not None:
+        records = [record for record in records if record["key"] in keys]
+    return len(records), report_payload(records, group_by.split(","), DEFAULT_REPORT_METRICS)
+
+
+def _assert_reports_match_a_fresh_scan(svc, sweeps):
+    for sweep in (None, *sweeps):
+        keys = None
+        if sweep is not None:
+            keys = {cell.key() for cell in svc.job(sweep).cells}
+        for group_by in GROUPINGS:
+            query = f"/report?group_by={group_by}" + (f"&sweep={sweep}" if sweep else "")
+            status, body = _get(svc, query)
+            assert status == 200
+            count, groups = _reference_groups(svc.store_path, group_by, keys)
+            assert body["records"] == count, (query, body["records"], count)
+            assert json.dumps(body["groups"], sort_keys=True) == json.dumps(
+                groups, sort_keys=True
+            ), query
+
+
+def test_report_stays_identical_to_a_fresh_scan_across_store_mutations(tmp_path):
+    """The delta-refreshed view and its report memo against a full re-scan,
+    after every kind of change a store can see while a service reads it."""
+    path = str(tmp_path / "results.jsonl")
+    svc = SweepService(path, rotate_bytes=4096)
+    host, port = svc.start("127.0.0.1", 0)
+    svc.base = f"http://{host}:{port}"
+    try:
+        first = _post(svc, {**SPEC_A, "seeds": [0, 1, 2]})
+        _wait_done(svc, first["sweep"])
+        sweeps = [first["sweep"]]
+        _assert_reports_match_a_fresh_scan(svc, sweeps)  # startup: the cold memo
+
+        # Own appends: a second sweep's runner writes new cells and telemetry.
+        second = _post(svc, SPEC_B)
+        _wait_done(svc, second["sweep"])
+        sweeps.append(second["sweep"])
+        _assert_reports_match_a_fresh_scan(svc, sweeps)
+
+        # An external writer supersedes keys with different analyses.  The
+        # fractional values make a group's float sums depend on row order,
+        # which the report must keep.
+        external = ResultStore(path, rotate_bytes=None)
+        victims = [r for r in external.records() if r.get("status") == "ok"][:3]
+        for victim, fraction in zip(victims, (0.1, 0.2, 0.7)):
+            analyses = json.loads(json.dumps(victim["analyses"]))
+            analyses["summary"]["sends"] += 1000 + fraction
+            external.put({**victim, "analyses": analyses})
+        _assert_reports_match_a_fresh_scan(svc, sweeps)
+
+        # A rotation by another store seals the tail into a segment.
+        assert ResultStore(path, rotate_bytes=4096).rotate(force=True) is not None
+        _assert_reports_match_a_fresh_scan(svc, sweeps)
+
+        # Compaction drops the superseded record.
+        assert ResultStore(path, rotate_bytes=4096).compact() >= 1
+        _assert_reports_match_a_fresh_scan(svc, sweeps)
+
+        # An in-place write damages a sealed cell record (same inode, same
+        # size, a later mtime): the record fails its CRC and drops out,
+        # then `repro store verify --repair` rewrites the segment without it.
+        store = ResultStore(path, rotate_bytes=4096)
+        store.rotate(force=True)
+        _assert_reports_match_a_fresh_scan(svc, sweeps)
+        for name in store.info()["segments"]:
+            segment = os.path.join(store.segments_dir, name)
+            with open(segment, "r+b") as handle:
+                raw = bytearray(handle.read())
+                if b'"status":"ok"' not in raw:
+                    continue  # telemetry only
+                raw[raw.index(b'"status":"ok"') + 3] ^= 0xFF  # inside a cell's body
+                handle.seek(0)
+                handle.write(bytes(raw))
+            break
+        stat = os.stat(segment)
+        os.utime(segment, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+        _assert_reports_match_a_fresh_scan(svc, sweeps)
+        assert cli_main(["store", "verify", "--repair", "--store", path]) == 0
+        _assert_reports_match_a_fresh_scan(svc, sweeps)
+
+        status, cached = _get(svc, "/report?group_by=adversary")
+        assert cached["served_from_cache"] is True
+    finally:
+        svc.stop()

@@ -1,6 +1,8 @@
 """Unit tests for report aggregation: non-numeric fields must survive."""
 
+import enum
 import json
+from collections import OrderedDict
 
 import pytest
 
@@ -11,6 +13,8 @@ from repro.experiments.reporting import (
     flatten_scalars,
     format_aggregate,
     group_records,
+    report_payload,
+    report_row,
 )
 
 
@@ -37,6 +41,35 @@ class TestFlattenScalars:
     def test_unknown_leaves_degrade_to_repr(self):
         flat = flatten_scalars({"odd": {1, 2} and frozenset([3])})
         assert "frozenset" in flat["odd"]
+
+    def test_mapping_subclasses_flatten_like_dicts(self):
+        flat = flatten_scalars(OrderedDict([("b", 1), ("a", OrderedDict(c=True))]))
+        assert flat == {"b": 1.0, "a.c": True}
+        assert list(flat) == ["b", "a.c"]
+
+    def test_tuples_flatten_by_index(self):
+        flat = flatten_scalars({"pair": (1, ("x", None))})
+        assert flat == {"pair.0": 1.0, "pair.1.0": "x", "pair.1.1": None}
+
+    def test_int_enum_becomes_a_float(self):
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        flat = flatten_scalars({"level": Level.HIGH})
+        assert flat == {"level": 3.0}
+        assert type(flat["level"]) is float
+
+    def test_bool_stays_bool_and_int_becomes_float(self):
+        flat = flatten_scalars({"flag": True, "one": 1, "zero": 0, "off": False})
+        assert flat["flag"] is True and flat["off"] is False
+        assert type(flat["one"]) is float and type(flat["zero"]) is float
+
+    def test_str_subclass_is_kept_as_is(self):
+        class Label(str):
+            pass
+
+        flat = flatten_scalars({"label": Label("go")})
+        assert flat == {"label": "go"}
 
 
 class TestAggregateMetric:
@@ -80,6 +113,16 @@ class TestGrouping:
         assert set(groups) == {("s1", "earliest"), ("s1", "latest")}
         rows = groups[("s1", "earliest")]
         assert rows[0]["coordination.satisfied"] is True
+
+    def test_pre_flattened_rows_give_the_same_payload(self):
+        rows = [report_row(record) for record in self.RECORDS]
+        slim = [
+            {k: v for k, v in record.items() if k != "analyses"}
+            for record in self.RECORDS
+        ]
+        metrics = ["coordination.margin", "coordination.satisfied"]
+        expected = report_payload(self.RECORDS, ["scenario"], metrics)
+        assert report_payload(slim, ["scenario"], metrics, rows=rows) == expected
 
     def test_discover_metrics(self):
         groups = group_records(self.RECORDS, ["scenario"])

@@ -8,7 +8,9 @@ same exactly-once dedup path a real deployment uses.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import time
 import urllib.error
 import urllib.request
@@ -251,6 +253,24 @@ class TestHttpSurface:
         assert body["ok"] is True
         assert body["store"] == service.store_path
 
+    def test_keep_alive_responses_do_not_wait_for_delayed_acks(self, service):
+        # Headers and body leave in two writes; with Nagle's algorithm on,
+        # the body waits for the client's delayed ACK (~40 ms a response).
+        host, port = service.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        latencies = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                latencies.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.015, latencies
+
     def test_unknown_route_404(self, service):
         status, body = _get(service, "/nope")
         assert status == 404
@@ -368,3 +388,38 @@ class TestHttpSurface:
         ) as response:
             text = response.read().decode("utf-8")
         assert any(line.startswith("serve.requests ") for line in text.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# The report memo.
+# ---------------------------------------------------------------------------
+
+
+def test_report_memo_keeps_store_order_so_float_sums_match_a_fresh_scan(tmp_path):
+    """A superseded record keeps its place in the report rows: float sums
+    depend on order, and the payload must match a fresh scan bit for bit."""
+    from repro.experiments.reporting import report_payload
+    from repro.experiments.store import ResultStore
+
+    path = str(tmp_path / "results.jsonl")
+
+    def cell(key, sends):
+        return {
+            "key": key,
+            "status": "ok",
+            "scenario": "s",
+            "adversary": "earliest",
+            "analyses": {"summary": {"sends": sends}},
+        }
+
+    ResultStore(path).put_many([cell("a", 50), cell("b", 50), cell("c", 50)])
+    service = SweepService(path)
+    assert service.report(metrics=["summary.sends"])["records"] == 3
+    ResultStore(path).put_many([cell("a", 1e17), cell("b", -1e17)])
+    served = service.report(metrics=["summary.sends"])
+    fresh = report_payload(
+        ResultStore(path).records(), ["scenario", "adversary"], ["summary.sends"]
+    )
+    assert served["served_from_cache"] is False
+    assert served["groups"] == fresh
+    assert fresh[0]["summary.sends"]["mean"] == 50 / 3
