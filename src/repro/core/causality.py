@@ -22,15 +22,6 @@ Nodes interned in a *different* pool (after a pool swap or a process
 boundary) are transparently re-canonicalised into the current pool before
 their uid is used, so all entry points stay correct across pools -- only the
 caches are per-pool.
-
-When numpy is available, the bitset operations go vectorized over the dense
-uid space for large masks: a past bitset unpacks into a boolean array in one
-``numpy.unpackbits`` call, membership scans (:func:`mask_members` and the
-past-delta scans built on it) become a ``nonzero`` gather instead of
-per-member bit twiddling, and :func:`in_past_many` answers a whole batch of
-probes against one unpacked view.  Small masks and numpy-free installs take
-the pure-Python bit-probe path -- results are identical.  numpy itself is
-imported only when the first such mask appears.
 """
 
 from __future__ import annotations
@@ -41,26 +32,7 @@ from ..simulation import interning as _interning
 from ..simulation.interning import InternPool
 from ..simulation.messages import MessageReceipt
 from ..simulation.network import Process
-from .longest_paths import _numpy
 from .nodes import BasicNode, GeneralNode
-
-
-#: Masks with fewer bits than this stay on the pure-Python path: unpacking a
-#: tiny bitset into arrays costs more than a handful of bit probes.
-_VECTOR_MIN_BITS = 2048
-
-
-def _mask_uid_array(mask: int):
-    """The uids set in ``mask`` as an int64 array (numpy path only).
-
-    One ``to_bytes`` (C-speed on the big int) + ``unpackbits`` + ``nonzero``
-    replaces the per-member ``mask & -mask`` peeling loop, which is
-    O(members * words) on Python ints.
-    """
-    np = _numpy()
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return np.nonzero(bits)[0]
 
 
 def _canonical_uid(pool: InternPool, node: BasicNode) -> int:
@@ -130,8 +102,6 @@ def _past_mask(pool: InternPool, node: BasicNode) -> int:
 
 def _mask_members(pool: InternPool, mask: int) -> FrozenSet[BasicNode]:
     """Materialise a past bitset back into its set of basic nodes."""
-    if mask.bit_length() > _VECTOR_MIN_BITS and _numpy() is not None:
-        return frozenset(pool.nodes_for_uids(_mask_uid_array(mask).tolist()))
     table = pool.node_by_uid
     members = []
     remaining = mask
@@ -189,24 +159,13 @@ def in_past(node: BasicNode, sigma: BasicNode) -> bool:
 def in_past_many(nodes: Sequence[BasicNode], sigma: BasicNode) -> List[bool]:
     """Batched :func:`in_past`: ``[node in past(sigma) for node in nodes]``.
 
-    Sigma's mask is fetched (or built) once for the whole batch.  For large
-    pasts the probes are one vectorized gather over the unpacked boolean view
-    of the bitset; small masks and numpy-free installs loop bit probes.  The
-    result list is index-aligned with ``nodes``.
+    Sigma's mask is fetched (or built) once for the whole batch, then each
+    node is one bit probe on it.  The result list is index-aligned with
+    ``nodes``.
     """
     pool = _interning._POOL
     mask = _past_mask(pool, sigma)
-    uids = [_canonical_uid(pool, node) for node in nodes]
-    if mask.bit_length() > _VECTOR_MIN_BITS and len(uids) > 1 and _numpy() is not None:
-        np = _numpy()
-        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-        uid_array = np.asarray(uids, dtype=np.int64)
-        inside = uid_array < bits.size
-        result = np.zeros(len(uids), dtype=bool)
-        result[inside] = bits[uid_array[inside]].astype(bool)
-        return result.tolist()
-    return [bool(mask >> uid & 1) for uid in uids]
+    return [bool(mask >> _canonical_uid(pool, node) & 1) for node in nodes]
 
 
 def happens_before(earlier: BasicNode, later: BasicNode, strict: bool = False) -> bool:

@@ -37,8 +37,7 @@ def is_visible_zigzag(pattern: ZigzagPattern, sigma: BasicNode, run: "Run") -> b
     include the full local timeline prefix, so past membership is exactly
     happens-before here).  All of the pattern's probes -- every non-final
     fork head plus the last fork's base -- go through one batched
-    :func:`in_past_many` call, which on large pasts is a single vectorized
-    gather instead of per-fork bit probes.
+    :func:`in_past_many` call, which fetches sigma's mask once.
     """
     if not pattern.is_valid_in(run):
         return False

@@ -228,9 +228,8 @@ def bounds_stats_pass(run: "Run") -> Dict[str, Any]:
 
     Every ordered pair of per-process final nodes is queried through the
     batched longest-path engine's :meth:`LongestPathEngine.rows` -- one call
-    for all sources, which the vectorized kernels settle in a single
-    multi-source relaxation -- so the relaxation cost is paid once per source
-    row rather than once per pair; ``rows_computed`` records exactly how many
+    for all sources -- so the relaxation cost is paid once per source row
+    rather than once per pair; ``rows_computed`` records exactly how many
     relaxations the whole cell needed.  The rows come back as final-to-final
     weights read by index (``targets=finals``), not as dicts over all nodes.
     """

@@ -392,6 +392,14 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     """``repro serve``: the HTTP sweep service (:mod:`repro.experiments.serve`)."""
     from .serve import SweepService, parse_endpoint
 
+    for flag, value, minimum in (
+        ("--workers", args.workers, 1),
+        ("--shard-size", args.shard_size, 1),
+        ("--max-cells", args.max_cells, 1),
+        ("--rotate-bytes", args.rotate_bytes, 0),
+    ):
+        if value is not None and value < minimum:
+            raise CliError(f"{flag} must be >= {minimum}, got {value}")
     host, port = parse_endpoint(args.listen, what="--listen")
     workers_listen = None
     if args.workers_listen is not None:

@@ -39,7 +39,6 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..obs.collect import Collector, registry_baseline, registry_delta
-from ..obs.trace import trace_events
 from ..scenarios.base import RegistryError, get_scenario
 from ..simulation.interning import intern_pool
 from . import faults
@@ -121,7 +120,7 @@ class SweepExecutor(ABC):
         collector = self.worker_telemetry
         collector.add_metrics(payload.get("metrics"))
         collector.add_shard(cells, float(payload.get("wall_s") or 0.0), **extra)
-        collector.add_trace(payload.get("trace"))
+        collector.add_trace(payload.get("trace"), payload.get("trace_dropped"))
 
 
 class SerialExecutor(SweepExecutor):
@@ -201,17 +200,17 @@ def run_shard_monitored(cells: Sequence[SweepCell]) -> Dict[str, Any]:
     differing only in adversary re-decorate it).  ``records`` holds one
     record per cell, aligned with the input order; a failing cell yields an
     error record without poisoning the rest of the shard.  The payload also
-    carries the shard's registry delta, wall time, and new trace events (the
-    worker half of the snapshot-delta protocol, :mod:`repro.obs.collect`);
-    in-process callers keep only the wall time, since their metrics already
-    landed in their own registry.
+    carries the shard's registry delta and wall time (the worker half of the
+    snapshot-delta protocol, :mod:`repro.obs.collect`); in-process callers
+    keep only the wall time, since their metrics already landed in their own
+    registry.  Trace events stay in the process buffer: a worker drains it
+    per result, the coordinator reports its own at the end of the sweep.
 
     Fault-injection points ``worker.shard`` (once, up front) and
     ``worker.cell`` (per cell) fire here; they are no-ops outside marked
     worker processes (see :mod:`repro.experiments.faults`).
     """
     baseline = registry_baseline()
-    mark = len(trace_events())
     started = time.perf_counter()
     faults.fire("worker.shard")
     records: List[Dict[str, Any]] = []
@@ -231,7 +230,6 @@ def run_shard_monitored(cells: Sequence[SweepCell]) -> Dict[str, Any]:
         "records": records,
         "metrics": registry_delta(baseline),
         "wall_s": time.perf_counter() - started,
-        "trace": trace_events()[mark:],
     }
 
 

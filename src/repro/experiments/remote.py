@@ -48,7 +48,8 @@ the coordinator's); the hash-consed run substrate is never shipped — each
 worker rebuilds scenarios locally inside its own intern pool
 (:func:`~repro.experiments.executors.run_shard_monitored`), per the
 interning invariants.  Worker metric deltas ride back on result messages,
-so sweep telemetry stays backend-identical.
+so sweep telemetry stays backend-identical; so do the worker's trace events,
+drained from its buffer with the count of events the buffer cap dropped.
 
 The deterministic chaos harness (:mod:`repro.experiments.faults`) hooks the
 worker runtime at ``worker.connect`` / ``worker.shard`` / ``worker.cell`` /
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as _metrics
-from ..obs.trace import tracing_enabled
+from ..obs.trace import drain_trace_events, dropped_trace_events
 from . import faults
 from .executors import ResultHandler, SweepExecutor, plan_shards, run_shard_monitored
 from .runner import SweepCell, SweepError, error_record
@@ -623,6 +624,9 @@ def _run_local_worker(listener: socket.socket, connect: str, worker_id: str) -> 
     worker also exits as soon as it is orphaned.
     """
     listener.close()
+    # The fork also copied the coordinator's trace buffer; those events are
+    # the coordinator's to report, not this worker's to ship.
+    drain_trace_events()
     parent = os.getppid()
 
     def exit_when_orphaned() -> None:
@@ -1003,6 +1007,7 @@ class RemoteExecutor(SweepExecutor):
                             "metrics": message.get("metrics"),
                             "wall_s": message.get("wall_s"),
                             "trace": message.get("trace"),
+                            "trace_dropped": message.get("trace_dropped"),
                         }
                         deliveries.put(("payload", (payload, len(results))))
                         if fresh:
@@ -1220,6 +1225,10 @@ def _worker_session(
                 payload = run_shard_monitored(cells)
                 _C_WORKER_SHARDS.value += 1
                 faults.fire("worker.result")
+                # Drained, not sliced: a long-lived worker's buffer would
+                # otherwise fill up once and ship nothing from then on.
+                dropped = dropped_trace_events()
+                trace = drain_trace_events()
                 send(
                     {
                         "type": "result",
@@ -1227,7 +1236,8 @@ def _worker_session(
                         "lease": message.get("lease"),
                         "wall_s": payload["wall_s"],
                         "metrics": payload["metrics"],
-                        "trace": payload["trace"] if tracing_enabled() else [],
+                        "trace": trace,
+                        "trace_dropped": dropped,
                         "results": [
                             {"index": index, "record": record}
                             for index, record in zip(indices, payload["records"])

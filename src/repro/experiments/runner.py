@@ -39,7 +39,7 @@ from typing import (
 from ..obs import metrics as _metrics
 from ..obs.collect import Collector, registry_baseline, registry_delta
 from ..obs.metrics import merge_snapshots
-from ..obs.trace import span, trace_events, tracing_enabled
+from ..obs.trace import dropped_trace_events, span, trace_events, tracing_enabled
 from ..scenarios.base import Scenario, get_scenario
 from ..simulation.interning import intern_pool, intern_stats
 from ..simulation.delivery import (
@@ -510,6 +510,7 @@ def run_sweep(
     started = time.perf_counter()
     parent_baseline = registry_baseline()
     trace_mark = len(trace_events())
+    dropped_mark = dropped_trace_events()
     outcome = SweepOutcome(total=len(cells), backend=executor.name)
     notify = progress or (lambda message: None)
     watch = observer or (lambda phase, cell, record: None)
@@ -630,6 +631,10 @@ def run_sweep(
         telemetry["worker_events"] = list(collector.worker_events)
     if tracing_enabled():
         telemetry["trace"] = collector.trace + trace_events()[trace_mark:]
+        # Worker drops plus this process's own since the sweep started.
+        telemetry["trace_dropped"] = collector.trace_dropped + max(
+            0, dropped_trace_events() - dropped_mark
+        )
     outcome.telemetry = telemetry
     if store is not None:
         # Persisted even (especially) for sweeps with errors: the fabric and

@@ -42,6 +42,8 @@ class Collector:
         self.merged: Dict[str, Any] = empty_snapshot()
         self.shards: List[Dict[str, Any]] = []
         self.trace: List[Dict[str, Any]] = []
+        #: Events the workers' buffer caps discarded before shipping.
+        self.trace_dropped = 0
         self.worker_events: List[Dict[str, Any]] = []
         self.worker_payloads = 0
 
@@ -61,9 +63,12 @@ class Collector:
         meta.update(extra)
         self.shards.append(meta)
 
-    def add_trace(self, events: Optional[List[Dict[str, Any]]]) -> None:
+    def add_trace(
+        self, events: Optional[List[Dict[str, Any]]], dropped: Optional[int] = None
+    ) -> None:
         if events:
             self.trace.extend(events)
+        self.trace_dropped += int(dropped or 0)
 
     def add_worker_event(self, event: Mapping[str, Any]) -> None:
         """Record one worker liveness/retry event (joins, deaths, expiries).

@@ -37,7 +37,7 @@ do not swap pools concurrently from multiple threads.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class InternPool:
@@ -93,16 +93,6 @@ class InternPool:
         uid = len(self.node_by_uid)
         self.node_by_uid.append(node)
         return uid
-
-    def nodes_for_uids(self, uids: Iterable[int]) -> List[Any]:
-        """Materialise dense uids back into their interned nodes, in order.
-
-        The vectorized bitset scans in :mod:`repro.core.causality` produce
-        uid arrays over this pool's dense uid space; this is the single
-        place those arrays turn back into node objects.
-        """
-        table = self.node_by_uid
-        return [table[uid] for uid in uids]
 
     def clear(self) -> None:
         """Drop every interned value and cache (previously returned objects stay valid)."""

@@ -28,6 +28,13 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.remote import RemoteExecutor, run_worker
+from repro.obs.trace import (
+    TRACE_EVENT_LIMIT,
+    drain_trace_events,
+    dropped_trace_events,
+    set_tracing,
+    span,
+)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -322,6 +329,36 @@ class TestRemoteExecutor:
         assert all(r["status"] == "error" for r in handler.records.values())
         assert all("WorkerFailure" in r["error"] for r in handler.records.values())
         assert executor.fabric_summary()["quarantined"] == len(cells)
+
+
+class TestWorkerTrace:
+    def test_full_buffer_still_ships_the_next_shards_spans(self):
+        """Each result ships the worker's drained trace buffer and its drop
+        count: a buffer that is already full ships once, then the next
+        shard's ``cell`` span arrives instead of being dropped for good."""
+        cells = _grid(2)
+        executor = _executor(workers_hint=1, shard_size=1)
+        previous = set_tracing(True)
+        try:
+            drain_trace_events()
+            for _ in range(TRACE_EVENT_LIMIT + 3):
+                with span("filler"):
+                    pass
+            worker = _thread_worker(executor.address, worker_id="traced")
+            executor.execute(list(enumerate(cells)), _CountingHandler())
+            worker.join(timeout=10.0)
+            assert dropped_trace_events() == 0  # the drops were shipped
+        finally:
+            set_tracing(previous)
+            drain_trace_events()
+        telemetry = executor.worker_telemetry
+        names = [event["name"] for event in telemetry.trace]
+        assert names.count("filler") == TRACE_EVENT_LIMIT
+        # The first shard's spans hit the full buffer; the second shard's
+        # (the same number: both cells run the same passes) all shipped.
+        assert names.count("cell") == 1
+        second_shard = len(names) - TRACE_EVENT_LIMIT
+        assert telemetry.trace_dropped == 3 + second_shard
 
 
 class TestRemoteSweepCli:

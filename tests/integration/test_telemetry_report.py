@@ -160,6 +160,7 @@ class TestSweepTelemetry:
         assert "cell" in names
         assert "sweep.scan" in names
         assert any(name.startswith("analysis.") for name in names)
+        assert outcome.telemetry["trace_dropped"] == 0
 
     def test_untraced_sweep_has_no_trace_section(self, tmp_path):
         cells = _cells(seeds=1)

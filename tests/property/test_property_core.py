@@ -17,8 +17,10 @@ from repro.core import (
     slow_timing_domain,
     verify_against_run,
 )
+from repro.core.causality import in_past, in_past_many
 from repro.core.run_construction import realized_gap
-from repro.scenarios import flooding_scenario
+from repro.scenarios import flooding_scenario, get_scenario
+from repro.simulation import SeededRandomDelivery
 
 SMALL = dict(max_examples=15, deadline=None)
 
@@ -36,6 +38,21 @@ def test_past_is_causally_closed(seed):
         past = past_nodes(sigma)
         for node in past:
             assert past_nodes(node) <= past
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 6))
+def test_in_past_many_matches_in_past(seed):
+    run = (
+        get_scenario("grid-flood")
+        .build(rows=2, cols=3, seed=seed, horizon=8)
+        .with_delivery(SeededRandomDelivery(seed=seed))
+        .run()
+    )
+    probes = [node for timeline in run.timelines.values() for _, node in timeline]
+    for process in sorted(run.processes):
+        sigma = run.final_node(process)
+        assert in_past_many(probes, sigma) == [in_past(node, sigma) for node in probes]
 
 
 @settings(**SMALL)

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core import KnowledgeChecker, KnowledgeSession, general
 from repro.core.causality import boundary_nodes
 from repro.core.extended_graph import ExtendedGraphError
+from repro.coordination import EagerKnowledgeProbe, early_task, late_task
 from repro.coordination.optimal import find_go_node
-from repro.scenarios import get_scenario
+from repro.scenarios import figure2b_scenario, get_scenario
 from repro.simulation import (
     Context,
     EarliestDelivery,
@@ -81,30 +82,34 @@ def query_set(run, sigma):
     return queries
 
 
+def assert_answers_match(run, session, sigma, include_auxiliary=True):
+    """The session answers every query at ``sigma`` as a fresh checker does."""
+    checker = KnowledgeChecker(sigma, run.timed_network, include_auxiliary=include_auxiliary)
+    queries = query_set(run, sigma)
+    for theta1 in queries:
+        for theta2 in queries:
+            if theta1 is theta2:
+                continue
+            try:
+                expected = checker.max_known_gap(theta1, theta2)
+            except ExtendedGraphError:
+                expected = ExtendedGraphError
+            try:
+                got = session.max_known_gap(theta1, theta2)
+            except ExtendedGraphError:
+                got = ExtendedGraphError
+            assert got == expected, (
+                f"{theta1.describe()} -> {theta2.describe()} at "
+                f"{sigma.describe()}: checker={expected} session={got}"
+            )
+
+
 def assert_session_matches_checker(run, include_auxiliary, nodes=None):
     """Advance one session along a timeline; compare answers at every node."""
-    net = run.timed_network
-    session = KnowledgeSession(net, include_auxiliary=include_auxiliary)
+    session = KnowledgeSession(run.timed_network, include_auxiliary=include_auxiliary)
     for sigma in nodes if nodes is not None else observer_timeline(run):
         session.advance(sigma)
-        checker = KnowledgeChecker(sigma, net, include_auxiliary=include_auxiliary)
-        queries = query_set(run, sigma)
-        for theta1 in queries:
-            for theta2 in queries:
-                if theta1 is theta2:
-                    continue
-                try:
-                    expected = checker.max_known_gap(theta1, theta2)
-                except ExtendedGraphError:
-                    expected = ExtendedGraphError
-                try:
-                    got = session.max_known_gap(theta1, theta2)
-                except ExtendedGraphError:
-                    got = ExtendedGraphError
-                assert got == expected, (
-                    f"{theta1.describe()} -> {theta2.describe()} at "
-                    f"{sigma.describe()}: checker={expected} session={got}"
-                )
+        assert_answers_match(run, session, sigma, include_auxiliary)
     return session
 
 
@@ -219,3 +224,77 @@ def test_session_batches_match_checker_batches(seed, adversary_kind):
         except ExtendedGraphError:
             continue
         assert session.max_known_gaps(pairs) == expected
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 5), chunk=st.sampled_from([1, 2, 4]))
+def test_advance_many_chunks_match_fresh_checker(seed, chunk):
+    """A session fed ``advance_many`` chunks answers like a fresh checker.
+
+    Queries are compared at each chunk's last node, where the session stands
+    after the call.
+    """
+    run = (
+        get_scenario("grid-flood")
+        .build(rows=2, cols=3, seed=seed, horizon=8)
+        .with_delivery(SeededRandomDelivery(seed=seed))
+        .run()
+    )
+    nodes = observer_timeline(run)
+    session = KnowledgeSession(run.timed_network)
+    for start in range(0, len(nodes), chunk):
+        block = nodes[start : start + chunk]
+        session.advance_many(block)
+        assert_answers_match(run, session, block[-1])
+
+
+# ---------------------------------------------------------------------------
+# Chunked coordination replays ride advance_many.
+# ---------------------------------------------------------------------------
+
+CHUNK_SIZES = (1, 2, 3, 8, 64)
+
+
+@settings(max_examples=6, deadline=None)
+@given(margin=st.integers(0, 4), kind=st.sampled_from(["late", "early"]))
+def test_chunked_probe_matches_per_step_on_figure2b(margin, kind):
+    run = figure2b_scenario(margin=margin).run()
+    task = late_task(margin) if kind == "late" else early_task(margin)
+    results = {
+        EagerKnowledgeProbe(task).first_actionable_node(run, chunk_steps=chunk)
+        for chunk in CHUNK_SIZES
+    }
+    assert len(results) == 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    rows=st.integers(2, 3),
+    cols=st.integers(2, 3),
+    margin=st.integers(0, 3),
+    seed=st.integers(0, 5),
+    kind=st.sampled_from(["late", "early"]),
+)
+def test_chunked_probe_matches_per_step_on_grid_runs(rows, cols, margin, seed, kind):
+    """Chunk boundaries never change which node the probe reports."""
+    net = grid(rows, cols, 1, 2)
+    go_sender = "r0c0"
+    actor = sorted(net.out_neighbors(go_sender))[0]
+    observer = f"r{rows - 1}c{cols - 1}"
+    protocols = ProtocolAssignment()
+    protocols.assign(go_sender, go_sender_protocol())
+    protocols.assign(actor, relayed_actor_protocol("a", go_sender))
+    run = simulate(
+        Context(net),
+        protocols,
+        delivery=SeededRandomDelivery(seed=seed),
+        external_inputs=go_at(1, go_sender),
+        horizon=10,
+    )
+    maker = late_task if kind == "late" else early_task
+    task = maker(margin, go_sender=go_sender, actor_a=actor, actor_b=observer)
+    results = {
+        EagerKnowledgeProbe(task).first_actionable_node(run, chunk_steps=chunk)
+        for chunk in CHUNK_SIZES
+    }
+    assert len(results) == 1

@@ -131,6 +131,43 @@ def test_memoized_rows_are_stable(digraph):
         assert computed == 0
 
 
+@settings(**SMALL)
+@given(digraph=random_digraphs(), data=st.data())
+def test_batched_rows_raise_like_sequential_rows(digraph, data):
+    """``rows()`` answers as a sequential ``row()`` loop, raise included.
+
+    Rows (full and ``targets=``-restricted) equal the naive reference; a
+    batch holding a positive-cycle source raises :class:`PositiveCycleError`
+    at the first offending source in batch order, with exactly the rows of
+    the sources before it memoized.
+    """
+    size, edges = digraph
+    graph = build(size, edges)
+    sources = data.draw(st.permutations(list(graph.nodes)))
+    expected = []
+    for source in sources:
+        row, raised = reference_row(graph, source)
+        if raised:
+            break
+        expected.append(row)
+    engine = LongestPathEngine(graph)
+    if len(expected) == len(sources):
+        assert engine.rows(sources) == expected
+        targets = sources[::2]
+        assert engine.rows(sources, targets=targets) == [
+            [row[target] for target in targets] for row in expected
+        ]
+        return
+    try:
+        engine.rows(sources)
+        raised = False
+    except PositiveCycleError:
+        raised = True
+    assert raised
+    assert engine.cached_row_count == len(expected)
+    assert engine.rows(sources[: len(expected)]) == expected
+
+
 # ---------------------------------------------------------------------------
 # Agreement under growth (incremental row extension).
 # ---------------------------------------------------------------------------
@@ -289,15 +326,12 @@ def test_overlay_edits_match_the_combined_reference(digraph, ops):
     """``update_overlay`` deltas answer as the naive relaxation of base+overlay.
 
     Edits interleave with base growth -- including growth that turns an
-    overlay-only vertex into a base node -- and both kernels are driven by
-    the same edits; rows, key sets and ``PositiveCycleError`` must agree.
+    overlay-only vertex into a base node; rows, key sets and
+    ``PositiveCycleError`` must agree.
     """
     size, edges = digraph
     graph = build(size, edges)
-    engines = [
-        LongestPathEngine(graph, vectorized=False),
-        LongestPathEngine(graph, vectorized=True),
-    ]
+    engine = LongestPathEngine(graph)
     overlay = []
     for kind, source, target, weight, pick in ops:
         if kind == "grow":
@@ -311,8 +345,7 @@ def test_overlay_edits_match_the_combined_reference(digraph, ops):
             delta = {"removed": [edge]}
         else:
             continue
-        for engine in engines:
-            engine.update_overlay(**delta)
+        engine.update_overlay(**delta)
         combined = WeightedGraph()
         for node in graph.nodes:
             combined.add_node(node)
@@ -322,9 +355,8 @@ def test_overlay_edits_match_the_combined_reference(digraph, ops):
             combined.add_edge(*overlay_edge)
         for source_node in combined.nodes:
             expected = reference_row(combined, source_node)
-            for engine in engines:
-                try:
-                    got = engine.overlay_row(source_node), False
-                except PositiveCycleError:
-                    got = None, True
-                assert got == expected, f"mismatch from {source_node} after {kind}"
+            try:
+                got = engine.overlay_row(source_node), False
+            except PositiveCycleError:
+                got = None, True
+            assert got == expected, f"mismatch from {source_node} after {kind}"

@@ -108,6 +108,21 @@ class TestEndpointCliErrors:
         assert cli_main(["serve", "--workers-listen", "127.0.0.1"]) == 2
         assert "missing port" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rotate-bytes", "-5"),
+            ("--shard-size", "0"),
+            ("--workers", "0"),
+            ("--max-cells", "0"),
+        ],
+    )
+    def test_serve_out_of_range_number(self, capsys, flag, value):
+        # Rejected before binding: a server would block this call in join().
+        assert cli_main(["serve", "--listen", "127.0.0.1:0", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag} must be >= " in err
+
 
 class TestValidateSpec:
     def test_expands_cells_and_normalizes(self):
