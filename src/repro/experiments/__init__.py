@@ -66,8 +66,10 @@ from .reporting import (
 )
 from .runner import (
     ADVERSARIES,
+    MAX_CELLS,
     TELEMETRY_KIND,
     TELEMETRY_STATUS,
+    SpecError,
     SweepCell,
     SweepError,
     SweepOutcome,
@@ -83,6 +85,7 @@ from .runner import (
     run_cell,
     run_sweep,
     sweep_telemetry_key,
+    validate_spec,
 )
 from .remote import (
     FabricScheduler,
@@ -90,6 +93,7 @@ from .remote import (
     WorkerFailure,
     cell_from_wire,
     cell_to_wire,
+    parse_endpoint,
     run_worker,
 )
 from .store import (
@@ -187,9 +191,7 @@ __all__ = [
 #: Names served by :mod:`repro.experiments.serve`, imported on first access:
 #: the HTTP stack it pulls in (``http.server``, ``email``) costs every other
 #: command start-up time for nothing.
-_SERVE_NAMES = frozenset(
-    {"MAX_CELLS", "SpecError", "SweepService", "parse_endpoint", "validate_spec"}
-)
+_SERVE_NAMES = frozenset({"SweepService"})
 
 
 def __getattr__(name):

@@ -29,19 +29,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.bounds_graph import basic_bounds_graph
 from ..core.extended_graph import ExtendedBoundsGraph
-from ..scenarios.base import ParamSpec, RegistryError, get_scenario, scenario_registry
-from .analyses import (
-    DEFAULT_ANALYSES,
-    AnalysisError,
-    get_analysis,
-    list_analyses,
-)
+from ..scenarios.base import RegistryError, scenario_registry
+from .analyses import DEFAULT_ANALYSES, get_analysis, list_analyses
 from .executors import BACKENDS
 from . import faults
 from .faults import (
@@ -62,6 +58,8 @@ from .reporting import (
 from .runner import (
     ADVERSARIES,
     TELEMETRY_KIND,
+    SpecError,
+    SweepCell,
     SweepError,
     build_cell_scenario,
     execute_cell,
@@ -89,59 +87,108 @@ def _csv(text: str) -> List[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _find_param_spec(scenarios: Sequence[str], name: str) -> ParamSpec:
-    for scenario in scenarios:
-        spec = get_scenario(scenario).param(name)
-        if spec is not None:
-            return spec
-    raise CliError(
-        f"no scenario in {list(scenarios)} declares a parameter named {name!r}"
-    )
-
-
-def _parse_single_overrides(
-    scenario: str, assignments: Sequence[str]
-) -> Dict[str, Any]:
-    """Parse ``--set name=value`` entries against one scenario's spec."""
-    overrides: Dict[str, Any] = {}
-    for assignment in assignments:
-        if "=" not in assignment:
-            raise CliError(f"--set expects name=value, got {assignment!r}")
-        name, _, text = assignment.partition("=")
-        name = name.strip()
-        spec = get_scenario(scenario).param(name)
-        if spec is None:
-            raise CliError(
-                f"scenario {scenario!r} has no parameter {name!r}; "
-                f"declared: {[p.name for p in get_scenario(scenario).params]}"
-            )
-        overrides[name] = spec.parse(text)
-    return overrides
-
-
-def _parse_grid_overrides(
-    scenarios: Sequence[str], assignments: Sequence[str]
+def _parse_set(
+    scenarios: Sequence[str], assignments: Sequence[str], many: bool
 ) -> Dict[str, List[Any]]:
-    """Parse ``--set name=v1,v2,...`` entries into a parameter grid."""
+    """``--set name=v1[,v2...]`` text as a parameter grid (one value each
+    unless ``many``), parsed with the first declaring scenario's ParamSpec.
+
+    A name no scenario declares keeps its text: :func:`expand_grid` rejects it.
+    """
+    registry = scenario_registry()
     grid: Dict[str, List[Any]] = {}
     for assignment in assignments:
-        if "=" not in assignment:
-            raise CliError(f"--set expects name=v1[,v2...], got {assignment!r}")
-        name, _, text = assignment.partition("=")
+        name, sep, text = assignment.partition("=")
+        if not sep:
+            raise CliError(f"--set expects name=value, got {assignment!r}")
         name = name.strip()
-        spec = _find_param_spec(scenarios, name)
-        values = [spec.parse(part) for part in _csv(text)]
-        if not values:
-            raise CliError(f"--set {name!r} needs at least one value")
-        grid[name] = values
+        declared = [registry[s].param(name) for s in scenarios if s in registry]
+        spec = next((param for param in declared if param is not None), None)
+        texts = _csv(text) if many else [text]
+        try:
+            grid[name] = [spec.parse(part) if spec else part for part in texts]
+        except RegistryError as exc:
+            raise CliError(f"--set: {exc}") from None
     return grid
 
 
-def _validated_analyses(names: Optional[Sequence[str]]) -> Tuple[str, ...]:
-    chosen = tuple(names) if names else DEFAULT_ANALYSES
-    for name in chosen:
-        get_analysis(name)  # raises AnalysisError on unknown names
-    return chosen
+#: The flag that sets each grid field, so a grid error names the flag.
+_GRID_FLAGS = {
+    "scenarios": "--scenario",
+    "adversaries": "--adversary",
+    "seeds": "--seeds",
+    "params": "--set",
+    "analyses": "--analysis",
+    "horizon": "--horizon",
+}
+
+
+def _grid_cells(
+    args: argparse.Namespace,
+    scenarios: Sequence[str],
+    adversaries: Sequence[str],
+    seeds: Sequence[int],
+    many: bool = True,
+    flags: Optional[Dict[str, str]] = None,
+) -> List[SweepCell]:
+    """Check and expand a command's grid through :func:`expand_grid`, the
+    check ``POST /sweeps`` shares; ``flags`` overrides :data:`_GRID_FLAGS`."""
+    try:
+        return expand_grid(
+            scenarios,
+            adversaries=adversaries,
+            seeds=seeds,
+            param_grid=_parse_set(scenarios, args.set or (), many),
+            analyses=getattr(args, "analysis", None) or DEFAULT_ANALYSES,
+            horizon=args.horizon,
+        )
+    except SpecError as exc:
+        flag = {**_GRID_FLAGS, **(flags or {})}.get(exc.field, exc.field)
+        message = str(exc)
+        if message.startswith(exc.field):
+            message = message[len(exc.field):]
+        raise CliError(flag + message) from None
+
+
+def _one_cell(args: argparse.Namespace) -> SweepCell:
+    """The single cell of ``repro run``/``repro export``."""
+    (cell,) = _grid_cells(
+        args,
+        [args.scenario],
+        [args.adversary],
+        [args.seed],
+        many=False,
+        flags={"scenarios": "scenario", "seeds": "--seed"},
+    )
+    return cell
+
+
+#: Lower bounds of the numeric flags of ``sweep``, ``serve`` and ``worker``,
+#: by argparse dest; every value must also be finite.  The grid flags
+#: (``--seeds``, ``--horizon``) are checked with the grid.
+_FLAG_BOUNDS = {
+    "workers": 1,
+    "shard_size": 1,
+    "max_cells": 1,
+    "rotate_bytes": 0,
+    "cell_timeout": 0.001,
+    "lease_base_s": 0.001,
+    "heartbeat_timeout_s": 0.001,
+    "heartbeat_s": 0.001,
+    "local_fallback_s": 0.0,
+    "connect_timeout_s": 0.0,
+}
+
+
+def _check_flag_bounds(args: argparse.Namespace) -> None:
+    """Reject any numeric flag below its :data:`_FLAG_BOUNDS` entry or not finite."""
+    for dest, minimum in _FLAG_BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not minimum <= value < math.inf:
+            finite = " and finite" if isinstance(value, float) else ""
+            raise CliError(
+                f"--{dest.replace('_', '-')} must be >= {minimum}{finite}, got {value}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +215,7 @@ def _cmd_list(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
-    overrides = _parse_single_overrides(args.scenario, args.set or ())
-    cell = make_cell(
-        args.scenario,
-        overrides=overrides,
-        adversary=args.adversary,
-        seed=args.seed,
-        analyses=_validated_analyses(args.analysis),
-        horizon=args.horizon,
-    )
+    cell = _one_cell(args)
     record, run = execute_cell(cell)
     if args.store is not None:
         ResultStore(args.store).put(record)
@@ -198,31 +237,19 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
-    if args.workers < 1:
-        raise CliError(
-            f"--workers must be >= 1, got {args.workers} "
-            "(use --workers 1 for the serial path)"
-        )
     # --listen serves external workers, so it implies the fabric; without
     # it, `auto` runs one worker serially and forks a local fleet otherwise.
     fabric = args.backend == "fabric" or (
         args.backend == "auto" and (args.workers > 1 or args.listen is not None)
     )
-    if args.shard_size is not None:
-        if args.shard_size < 1:
-            raise CliError(f"--shard-size must be >= 1, got {args.shard_size}")
-        if not fabric:
-            raise CliError("--shard-size requires the fabric backend")
-    if args.cell_timeout <= 0:
-        raise CliError(f"--cell-timeout must be > 0, got {args.cell_timeout}")
+    if args.shard_size is not None and not fabric:
+        raise CliError("--shard-size requires the fabric backend")
     if args.listen is not None and not fabric:
         raise CliError("--listen requires the fabric backend")
     if args.force and args.resume:
         raise CliError("--force and --resume are mutually exclusive")
     if args.retry_errors and not args.resume:
         raise CliError("--retry-errors requires --resume")
-    if args.rotate_bytes is not None and args.rotate_bytes < 0:
-        raise CliError(f"--rotate-bytes must be >= 0, got {args.rotate_bytes}")
     chaos_plan: Optional[str] = None
     chaos_has_storage = False
     if args.chaos or args.chaos_plan:
@@ -251,32 +278,20 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
                     "faults only fire in worker processes, never in the "
                     "coordinator (storage-only plans run anywhere)"
                 )
-    scenarios = _csv(args.scenario) if args.scenario else list(DEFAULT_SWEEP_SCENARIOS)
-    adversaries = _csv(args.adversary) if args.adversary else list(ADVERSARIES)
+    scenarios = (
+        _csv(args.scenario) if args.scenario is not None else DEFAULT_SWEEP_SCENARIOS
+    )
+    adversaries = _csv(args.adversary) if args.adversary is not None else ADVERSARIES
+    flags = None
     if args.seed_list is not None:
-        # Validate before parsing: an empty value (or one that is all commas)
-        # must not silently fall back to the default seed range or expand to
-        # a zero-cell sweep.
-        parts = _csv(args.seed_list)
-        if not parts:
-            raise CliError(
-                f"--seed-list needs at least one seed, got {args.seed_list!r}"
-            )
         try:
-            seeds = [int(part) for part in parts]
+            seeds = [int(part) for part in _csv(args.seed_list)]
         except ValueError:
             raise CliError(f"--seed-list expects integers, got {args.seed_list!r}")
+        flags = {"seeds": "--seed-list"}
     else:
         seeds = list(range(args.seeds))
-    grid = _parse_grid_overrides(scenarios, args.set or ())
-    cells = expand_grid(
-        scenarios,
-        adversaries=adversaries,
-        seeds=seeds,
-        param_grid=grid,
-        analyses=_validated_analyses(args.analysis),
-        horizon=args.horizon,
-    )
+    cells = _grid_cells(args, scenarios, adversaries, seeds, flags=flags)
     print(
         f"sweep: {len(scenarios)} scenario(s) x {len(adversaries)} adversar"
         f"{'y' if len(adversaries) == 1 else 'ies'} x {len(seeds)} seed(s)"
@@ -295,8 +310,7 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
     progress = (lambda message: print(f"  {message}", file=out)) if args.verbose else None
     backend: Any = "serial"
     if fabric:
-        from .remote import RemoteExecutor
-        from .serve import parse_endpoint
+        from .remote import RemoteExecutor, parse_endpoint
 
         host, port = parse_endpoint(args.listen or "127.0.0.1:0", what="--listen")
         try:
@@ -363,19 +377,12 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace, out) -> int:
-    if args.heartbeat_s <= 0:
-        raise CliError(f"--heartbeat-s must be > 0, got {args.heartbeat_s}")
     if args.faults is not None:
         try:
             parse_plan(args.faults)
         except FaultError as exc:
             raise CliError(f"--faults: {exc}")
     from .remote import run_worker
-    from .serve import parse_endpoint
-
-    # Fail fast on a malformed or unresolvable endpoint: without this a bad
-    # host would spin in the connect-retry loop for the whole timeout.
-    parse_endpoint(args.connect, what="--connect")
 
     notify = (lambda message: print(message, file=out, flush=True)) if args.verbose else None
     return run_worker(
@@ -390,16 +397,9 @@ def _cmd_worker(args: argparse.Namespace, out) -> int:
 
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     """``repro serve``: the HTTP sweep service (:mod:`repro.experiments.serve`)."""
-    from .serve import SweepService, parse_endpoint
+    from .remote import parse_endpoint
+    from .serve import SweepService
 
-    for flag, value, minimum in (
-        ("--workers", args.workers, 1),
-        ("--shard-size", args.shard_size, 1),
-        ("--max-cells", args.max_cells, 1),
-        ("--rotate-bytes", args.rotate_bytes, 0),
-    ):
-        if value is not None and value < minimum:
-            raise CliError(f"{flag} must be >= {minimum}, got {value}")
     host, port = parse_endpoint(args.listen, what="--listen")
     workers_listen = None
     if args.workers_listen is not None:
@@ -608,14 +608,7 @@ def _parse_sigma(run, text: Optional[str]):
 def _cmd_export(args: argparse.Namespace, out) -> int:
     from ..viz.export import causal_dag, graph_to_dot, graph_to_graphml
 
-    overrides = _parse_single_overrides(args.scenario, args.set or ())
-    cell = make_cell(
-        args.scenario,
-        overrides=overrides,
-        adversary=args.adversary,
-        seed=args.seed,
-        horizon=args.horizon,
-    )
+    cell = _one_cell(args)
     run = build_cell_scenario(cell).run()
     if args.graph == "bounds":
         graph = basic_bounds_graph(run)
@@ -1023,8 +1016,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "store": _cmd_store,
     }
     try:
+        _check_flag_bounds(args)
         return commands[args.command](args, sys.stdout)
-    except (CliError, RegistryError, SweepError, AnalysisError) as exc:
+    except (CliError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -84,6 +84,7 @@ __all__ = [
     "WorkerFailure",
     "cell_from_wire",
     "cell_to_wire",
+    "parse_endpoint",
     "read_message",
     "run_worker",
     "send_message",
@@ -1084,14 +1085,34 @@ class RemoteExecutor(SweepExecutor):
 # ---------------------------------------------------------------------------
 
 
-def _parse_address(text: str) -> Tuple[str, int]:
-    host, _, port_text = text.rpartition(":")
-    if not host or not port_text:
-        raise SweepError(f"expected HOST:PORT, got {text!r}")
+def parse_endpoint(text: str, what: str = "address", resolve: bool = True) -> Tuple[str, int]:
+    """Parse and validate ``HOST:PORT``: the one endpoint parser of
+    ``repro sweep --listen``, ``repro worker --connect`` and ``repro serve``.
+
+    Raises :class:`SweepError` (one line, CLI-renderable) on a missing or
+    non-numeric port, an out-of-range port, or — with ``resolve`` — a host
+    that does not resolve.  An empty host (``:8080``) means loopback;
+    bracketed IPv6 literals (``[::1]:8080``) are accepted.
+    """
+    host, sep, port_text = text.rpartition(":")
+    if not sep or not port_text:
+        raise SweepError(f"{what} expects HOST:PORT, got {text!r} (missing port)")
     try:
         port = int(port_text)
     except ValueError:
-        raise SweepError(f"expected a numeric port in {text!r}")
+        raise SweepError(
+            f"{what} expects a numeric port, got {port_text!r} in {text!r}"
+        ) from None
+    if not 0 <= port <= 65535:
+        raise SweepError(f"{what} port must be in [0, 65535], got {port}")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    host = host or "127.0.0.1"
+    if resolve:
+        try:
+            socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+        except OSError as exc:
+            raise SweepError(f"{what}: cannot resolve host {host!r}: {exc}") from None
     return host, port
 
 
@@ -1127,10 +1148,13 @@ def run_worker(
     ``REPRO_FAULTS`` environment) scripts kills, hangs, slowdowns, and
     dropped connections deterministically; a dropped connection (injected or
     real) reconnects under the same worker id and the lease machinery
-    re-covers whatever was in flight.
+    re-covers whatever was in flight.  A malformed or unresolvable
+    ``connect`` raises :class:`SweepError` (see :func:`parse_endpoint`).
     """
+    # Parsed (and resolved) before anything else: a malformed or unknown
+    # host fails fast instead of spinning in the connect-retry loop.
+    address = parse_endpoint(connect, what="--connect")
     faults.mark_worker(faults_spec)
-    address = _parse_address(connect)
     wid = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     notify = log or (lambda message: None)
     deadline = time.monotonic() + connect_timeout_s

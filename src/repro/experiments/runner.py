@@ -40,7 +40,7 @@ from ..obs import metrics as _metrics
 from ..obs.collect import Collector, registry_baseline, registry_delta
 from ..obs.metrics import merge_snapshots
 from ..obs.trace import dropped_trace_events, span, trace_events, tracing_enabled
-from ..scenarios.base import Scenario, get_scenario
+from ..scenarios.base import RegistryError, Scenario, ScenarioSpec, get_scenario
 from ..simulation.interning import intern_pool, intern_stats
 from ..simulation.delivery import (
     DeliveryStrategy,
@@ -48,7 +48,7 @@ from ..simulation.delivery import (
     LatestDelivery,
     SeededRandomDelivery,
 )
-from .analyses import DEFAULT_ANALYSES, analysis_versions, run_analyses
+from .analyses import DEFAULT_ANALYSES, AnalysisError, analysis_versions, run_analyses
 from .store import ResultStore, canonical_json, cell_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,6 +85,20 @@ def _interned_objects() -> int:
 
 class SweepError(ValueError):
     """Raised on malformed sweep configurations."""
+
+
+class SpecError(SweepError):
+    """A malformed sweep grid or spec; ``field`` names the offending field.
+
+    The grid errors of :func:`make_cell` and :func:`expand_grid` start
+    their message with the field name, so a front end can swap in its own
+    name for the field: ``repro`` names the flag, and ``POST /sweeps``
+    answers 400 with the field in the body.
+    """
+
+    def __init__(self, message: str, field: str = "spec"):
+        super().__init__(message)
+        self.field = field
 
 
 def make_delivery(adversary: str, seed: int) -> DeliveryStrategy:
@@ -153,6 +167,13 @@ class SweepCell:
         return f"{self.scenario}[{params}] x {self.adversary} x seed={self.seed}"
 
 
+def _scenario_spec(name: str) -> ScenarioSpec:
+    try:
+        return get_scenario(name)
+    except RegistryError as exc:
+        raise SpecError(f"scenarios: {exc}", field="scenarios") from None
+
+
 def make_cell(
     scenario: str,
     overrides: Optional[Mapping[str, Any]] = None,
@@ -161,20 +182,36 @@ def make_cell(
     analyses: Sequence[str] = DEFAULT_ANALYSES,
     horizon: Optional[int] = None,
 ) -> SweepCell:
-    """Resolve one cell: validate parameters and inject the seed axis.
+    """Resolve one cell: check every value of it and inject the seed axis.
 
-    If the scenario declares a ``seed`` parameter and the caller did not pin
-    it explicitly, the sweep's seed-axis value is injected so that the seed
-    axis varies the *instance* (network, schedule) and not just the delivery
-    adversary.
+    Raises :class:`SpecError` on an unknown scenario, adversary or analysis,
+    a horizon that is not an int >= 1, or an ill-typed or undeclared
+    parameter.  If the scenario declares a ``seed`` parameter and the caller
+    did not pin it explicitly, the sweep's seed-axis value is injected so
+    that the seed axis varies the *instance* (network, schedule) and not
+    just the delivery adversary.
     """
     if adversary not in ADVERSARIES:
-        raise SweepError(f"unknown adversary {adversary!r}; known: {list(ADVERSARIES)}")
-    spec = get_scenario(scenario)
+        raise SpecError(
+            f"adversaries: unknown adversary {adversary!r}; known: {list(ADVERSARIES)}",
+            field="adversaries",
+        )
+    spec = _scenario_spec(scenario)
+    try:
+        analysis_versions(analyses)
+    except AnalysisError as exc:
+        raise SpecError(f"analyses: {exc}", field="analyses") from None
+    if horizon is not None and (
+        isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1
+    ):
+        raise SpecError(f"horizon must be an int >= 1, got {horizon!r}", field="horizon")
     merged: Dict[str, Any] = dict(overrides or {})
     if spec.has_param("seed") and "seed" not in merged:
         merged["seed"] = seed
-    params = spec.resolve(merged)
+    try:
+        params = spec.resolve(merged)
+    except RegistryError as exc:
+        raise SpecError(f"params: {exc}", field="params") from None
     return SweepCell(
         scenario=scenario,
         params=tuple(sorted(params.items())),
@@ -195,28 +232,41 @@ def expand_grid(
 ) -> List[SweepCell]:
     """Expand a sweep grid into resolved cells (deduplicated, stable order).
 
-    ``param_grid`` maps parameter names to lists of values; for each scenario
-    only the parameters it declares apply (a value list for a parameter no
-    scenario declares is an error).  Cells that resolve to identical
-    parameter assignments collapse into one.
+    The one grid check of every entry point (``repro sweep``/``run``/
+    ``export`` and ``POST /sweeps``): on top of :func:`make_cell`'s checks
+    of every cell, it raises :class:`SpecError` on an empty scenario,
+    adversary, seed or analysis axis and on a parameter with an empty value
+    list or that no scenario declares.  ``param_grid`` maps parameter names
+    to lists of values; for each scenario only the parameters it declares
+    apply.  Cells that resolve to identical parameter assignments collapse
+    into one.
     """
+    for name, axis, noun in (
+        ("scenarios", scenarios, "scenario"),
+        ("adversaries", adversaries, "adversary"),
+        ("seeds", seeds, "seed"),
+        ("analyses", analyses, "analysis"),
+    ):
+        if not axis:
+            raise SpecError(f"{name} needs at least one {noun}", field=name)
     grid = {name: list(values) for name, values in (param_grid or {}).items()}
-    if grid:
-        declared = set()
-        for scenario in scenarios:
-            spec = get_scenario(scenario)
-            declared.update(name for name in grid if spec.has_param(name))
-        unknown = set(grid) - declared
-        if unknown:
-            raise SweepError(
-                f"no scenario in {list(scenarios)} declares swept parameter(s) "
-                f"{sorted(unknown)}"
+    for name, values in grid.items():
+        if not values:
+            raise SpecError(
+                f"params: parameter {name!r} needs at least one value", field="params"
             )
+    specs = [_scenario_spec(scenario) for scenario in scenarios]
+    unknown = set(grid) - {name for spec in specs for name in grid if spec.has_param(name)}
+    if unknown:
+        raise SpecError(
+            f"params: no scenario in {list(scenarios)} declares swept parameter(s) "
+            f"{sorted(unknown)}",
+            field="params",
+        )
 
     cells: List[SweepCell] = []
     seen = set()
-    for scenario in scenarios:
-        spec = get_scenario(scenario)
+    for scenario, spec in zip(scenarios, specs):
         applicable = [name for name in grid if spec.has_param(name)]
         assignments: List[Dict[str, Any]] = [{}]
         for name in applicable:
@@ -242,6 +292,88 @@ def expand_grid(
                     seen.add(identity)
                     cells.append(cell)
     return cells
+
+
+#: Ceiling on the cells one spec may expand to: a service must bound the
+#: work a single request can enqueue (sweeps beyond this belong to the
+#: batch CLI, which has no such cap).
+MAX_CELLS = 10_000
+
+_SPEC_FIELDS = ("scenarios", "adversaries", "seeds", "params", "analyses", "horizon")
+
+
+def _spec_names(spec: Mapping[str, Any], field: str, default: Sequence[str]) -> List[str]:
+    names = spec.get(field)
+    if names is None:
+        return list(default)
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise SpecError(f"{field!r} must be a list of strings, got {names!r}", field=field)
+    return list(names)
+
+
+def validate_spec(
+    spec: Any, max_cells: int = MAX_CELLS
+) -> Tuple[List[SweepCell], Dict[str, Any]]:
+    """Check a JSON sweep spec (``POST /sweeps``) and expand it into cells.
+
+    This checks only the JSON shapes: the allowed fields, lists of strings,
+    ``seeds`` as an int (seeds ``0..n-1``) or a list of ints, and ``params``
+    as an object whose scalar values sweep one value.  What the values mean
+    is :func:`expand_grid`'s check, the same one every CLI grid passes.
+    Every violation raises :class:`SpecError` naming the offending field.
+    Returns the cells and the normalized spec.
+    """
+    if not isinstance(spec, Mapping):
+        raise SpecError(f"spec must be a JSON object, got {type(spec).__name__}")
+    for name in spec:
+        if name not in _SPEC_FIELDS:
+            raise SpecError(
+                f"unknown spec field {name!r}; allowed: {list(_SPEC_FIELDS)}",
+                field=str(name),
+            )
+    scenarios = _spec_names(spec, "scenarios", ())
+    adversaries = _spec_names(spec, "adversaries", ADVERSARIES)
+    analyses = _spec_names(spec, "analyses", DEFAULT_ANALYSES)
+    seeds = spec.get("seeds", 1)
+    if isinstance(seeds, int) and not isinstance(seeds, bool):
+        seeds = list(range(seeds))
+    elif not isinstance(seeds, list) or not all(
+        isinstance(seed, int) and not isinstance(seed, bool) for seed in seeds
+    ):
+        raise SpecError(
+            f"'seeds' must be an int or a list of ints, got {seeds!r}", field="seeds"
+        )
+    params = spec.get("params", {})
+    if not isinstance(params, Mapping):
+        raise SpecError(f"'params' must be an object, got {params!r}", field="params")
+    grid = {
+        str(name): list(values) if isinstance(values, list) else [values]
+        for name, values in params.items()
+    }
+    horizon = spec.get("horizon")
+    cells = expand_grid(
+        scenarios,
+        adversaries=adversaries,
+        seeds=seeds,
+        param_grid=grid,
+        analyses=analyses,
+        horizon=horizon,
+    )
+    if len(cells) > max_cells:
+        raise SpecError(
+            f"spec expands to {len(cells)} cells, over this service's "
+            f"limit of {max_cells} (run it with the batch CLI instead)"
+        )
+    normalized: Dict[str, Any] = {
+        "scenarios": scenarios,
+        "adversaries": adversaries,
+        "seeds": seeds,
+        "params": grid,
+        "horizon": horizon,
+    }
+    if spec.get("analyses") is not None:
+        normalized["analyses"] = analyses
+    return cells, normalized
 
 
 def build_base_scenario(cell: SweepCell) -> Scenario:

@@ -12,8 +12,9 @@ Everything is stdlib (``http.server.ThreadingHTTPServer``, newline-JSON
 bodies) — no new dependencies.  Endpoints:
 
 ========================  ====================================================
-``POST /sweeps``          validate a spec against the scenario registry's
-                          typed ParamSpecs, return a sweep id; cells already
+``POST /sweeps``          check a spec's JSON shapes (:func:`validate_spec`),
+                          then its grid with the check every CLI entry
+                          point shares; return a sweep id; cells already
                           in the store are instant cache hits, cold cells
                           execute through the scheduler's dedup path
 ``GET /sweeps/{id}``      progress snapshot (counts + lease-based fabric
@@ -56,7 +57,6 @@ from __future__ import annotations
 import hashlib
 import json
 import queue
-import socket
 import threading
 import time
 import urllib.parse
@@ -65,17 +65,15 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs.trace import span
-from ..scenarios.base import RegistryError, get_scenario
-from .analyses import AnalysisError, get_analysis
-from .remote import RemoteExecutor
+from .remote import RemoteExecutor, parse_endpoint
 from .reporting import DEFAULT_REPORT_METRICS, is_cell, report_payload, report_row
 from .runner import (
-    ADVERSARIES,
+    MAX_CELLS,
+    SpecError,
     SweepCell,
-    SweepError,
     execute_cell,
-    expand_grid,
     run_sweep,
+    validate_spec,
 )
 from .store import DEFAULT_STORE_PATH, ResultStore, canonical_json
 
@@ -96,11 +94,6 @@ _C_CACHE_MISS = _metrics.counter("serve.cache_miss")
 _C_RECOMPUTES = _metrics.counter("serve.recomputes")
 _C_EVENT_STREAMS = _metrics.counter("serve.event_streams")
 
-#: Ceiling on the cells one POSTed spec may expand to: a service must bound
-#: the work a single request can enqueue (sweeps beyond this belong to the
-#: batch CLI, which has no such cap).
-MAX_CELLS = 10_000
-
 #: Events kept per job (progress stream + snapshot); beyond this the stream
 #: reports the drop instead of growing without bound.
 _MAX_EVENTS = 20_000
@@ -108,197 +101,6 @@ _MAX_EVENTS = 20_000
 #: How often the HTTP loop checks for a shutdown request: ``stop()`` waits
 #: up to this long (``serve_forever``'s default is 0.5 s).
 _SHUTDOWN_POLL_S = 0.05
-
-
-# ---------------------------------------------------------------------------
-# Endpoint parsing — shared by `repro serve/sweep/worker` (the CLI renders
-# SweepError as a one-line `error: ...` with exit code 2).
-# ---------------------------------------------------------------------------
-
-
-def parse_endpoint(text: str, what: str = "address", resolve: bool = True) -> Tuple[str, int]:
-    """Parse and validate ``HOST:PORT``.
-
-    Raises :class:`SweepError` (one line, CLI-renderable) on a missing or
-    non-numeric port, an out-of-range port, or — with ``resolve`` — a host
-    that does not resolve.  An empty host (``:8080``) means loopback;
-    bracketed IPv6 literals (``[::1]:8080``) are accepted.
-    """
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not port_text:
-        raise SweepError(f"{what} expects HOST:PORT, got {text!r} (missing port)")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SweepError(
-            f"{what} expects a numeric port, got {port_text!r} in {text!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise SweepError(f"{what} port must be in [0, 65535], got {port}")
-    if host.startswith("[") and host.endswith("]"):
-        host = host[1:-1]
-    host = host or "127.0.0.1"
-    if resolve:
-        try:
-            socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
-        except OSError as exc:
-            raise SweepError(f"{what}: cannot resolve host {host!r}: {exc}") from None
-    return host, port
-
-
-# ---------------------------------------------------------------------------
-# Spec validation against the scenario registry's typed ParamSpecs.
-# ---------------------------------------------------------------------------
-
-
-class SpecError(ValueError):
-    """A malformed sweep spec; ``field`` names the offending spec field."""
-
-    def __init__(self, message: str, field: str = "spec"):
-        super().__init__(message)
-        self.field = field
-
-
-_SPEC_FIELDS = ("scenarios", "adversaries", "seeds", "params", "analyses", "horizon")
-
-
-def _spec_scenarios(spec: Mapping[str, Any]) -> List[str]:
-    scenarios = spec.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        raise SpecError(
-            "spec needs a non-empty 'scenarios' list", field="scenarios"
-        )
-    for name in scenarios:
-        if not isinstance(name, str):
-            raise SpecError(f"scenario names must be strings, got {name!r}", field="scenarios")
-        try:
-            get_scenario(name)
-        except RegistryError as exc:
-            raise SpecError(str(exc), field="scenarios") from None
-    return [str(name) for name in scenarios]
-
-
-def _spec_adversaries(spec: Mapping[str, Any]) -> List[str]:
-    adversaries = spec.get("adversaries", list(ADVERSARIES))
-    if not isinstance(adversaries, list) or not adversaries:
-        raise SpecError("'adversaries' must be a non-empty list", field="adversaries")
-    for name in adversaries:
-        if name not in ADVERSARIES:
-            raise SpecError(
-                f"unknown adversary {name!r}; known: {list(ADVERSARIES)}",
-                field="adversaries",
-            )
-    return [str(name) for name in adversaries]
-
-
-def _spec_seeds(spec: Mapping[str, Any]) -> List[int]:
-    seeds = spec.get("seeds", 1)
-    if isinstance(seeds, bool):
-        raise SpecError(f"'seeds' must be an int or a list of ints, got {seeds!r}", field="seeds")
-    if isinstance(seeds, int):
-        if seeds < 1:
-            raise SpecError(f"'seeds' must be >= 1, got {seeds}", field="seeds")
-        return list(range(seeds))
-    if isinstance(seeds, list) and seeds and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    ):
-        return list(seeds)
-    raise SpecError(f"'seeds' must be an int or a list of ints, got {seeds!r}", field="seeds")
-
-
-def _spec_params(spec: Mapping[str, Any]) -> Dict[str, List[Any]]:
-    params = spec.get("params", {})
-    if not isinstance(params, Mapping):
-        raise SpecError(f"'params' must be an object, got {params!r}", field="params")
-    grid: Dict[str, List[Any]] = {}
-    for name, values in params.items():
-        if not isinstance(values, list):
-            values = [values]  # a scalar sweeps one value
-        if not values:
-            raise SpecError(f"parameter {name!r} needs at least one value", field="params")
-        grid[str(name)] = list(values)
-    return grid
-
-
-def _spec_analyses(spec: Mapping[str, Any]) -> Optional[List[str]]:
-    analyses = spec.get("analyses")
-    if analyses is None:
-        return None
-    if not isinstance(analyses, list) or not analyses:
-        raise SpecError("'analyses' must be a non-empty list", field="analyses")
-    for name in analyses:
-        try:
-            get_analysis(str(name))
-        except AnalysisError as exc:
-            raise SpecError(str(exc), field="analyses") from None
-    return [str(name) for name in analyses]
-
-
-def _spec_horizon(spec: Mapping[str, Any]) -> Optional[int]:
-    horizon = spec.get("horizon")
-    if horizon is None:
-        return None
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-        raise SpecError(f"'horizon' must be an int >= 1, got {horizon!r}", field="horizon")
-    return horizon
-
-
-def validate_spec(
-    spec: Any, max_cells: int = MAX_CELLS
-) -> Tuple[List[SweepCell], Dict[str, Any]]:
-    """Validate one POSTed sweep spec and expand it into cells.
-
-    Every violation raises :class:`SpecError` with a ``field`` attribute
-    naming the offending spec field (the HTTP layer turns that into a 400
-    with a field-naming error body); parameter values are checked against
-    the registry's typed :class:`~repro.scenarios.base.ParamSpec` entries,
-    so the error message names the parameter too.
-    """
-    if not isinstance(spec, Mapping):
-        raise SpecError(f"spec must be a JSON object, got {type(spec).__name__}")
-    for name in spec:
-        if name not in _SPEC_FIELDS:
-            raise SpecError(
-                f"unknown spec field {name!r}; allowed: {list(_SPEC_FIELDS)}",
-                field=str(name),
-            )
-    scenarios = _spec_scenarios(spec)
-    adversaries = _spec_adversaries(spec)
-    seeds = _spec_seeds(spec)
-    grid = _spec_params(spec)
-    analyses = _spec_analyses(spec)
-    horizon = _spec_horizon(spec)
-    try:
-        if analyses is None:
-            cells = expand_grid(
-                scenarios, adversaries=adversaries, seeds=seeds,
-                param_grid=grid, horizon=horizon,
-            )
-        else:
-            cells = expand_grid(
-                scenarios, adversaries=adversaries, seeds=seeds,
-                param_grid=grid, analyses=analyses, horizon=horizon,
-            )
-    except (RegistryError, SweepError) as exc:
-        # ParamSpec.validate names the parameter; surface it under 'params'.
-        raise SpecError(str(exc), field="params") from None
-    if not cells:
-        raise SpecError("spec expands to zero cells")
-    if len(cells) > max_cells:
-        raise SpecError(
-            f"spec expands to {len(cells)} cells, over this service's "
-            f"limit of {max_cells} (run it with the batch CLI instead)"
-        )
-    normalized: Dict[str, Any] = {
-        "scenarios": scenarios,
-        "adversaries": adversaries,
-        "seeds": seeds,
-        "params": grid,
-        "horizon": horizon,
-    }
-    if analyses is not None:
-        normalized["analyses"] = analyses
-    return cells, normalized
 
 
 # ---------------------------------------------------------------------------

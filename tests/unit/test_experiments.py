@@ -8,6 +8,7 @@ from repro.experiments import (
     DEFAULT_ANALYSES,
     TELEMETRY_KIND,
     ResultStore,
+    SpecError,
     SweepError,
     analysis_versions,
     build_cell_scenario,
@@ -300,6 +301,33 @@ class TestRunner:
         with pytest.raises(SweepError):
             expand_grid(["flooding"], seeds=[0], param_grid={"bogus": [1]})
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"scenarios": ["nope"]}, "scenarios"),
+            ({"scenarios": []}, "scenarios"),
+            ({"adversaries": ["fastest"]}, "adversaries"),
+            ({"adversaries": []}, "adversaries"),
+            ({"seeds": []}, "seeds"),
+            ({"seeds": range(0)}, "seeds"),
+            ({"analyses": ["nope"]}, "analyses"),
+            ({"analyses": []}, "analyses"),
+            ({"horizon": 0}, "horizon"),
+            ({"horizon": -1}, "horizon"),
+            ({"horizon": True}, "horizon"),
+            ({"horizon": "4"}, "horizon"),
+            ({"param_grid": {"num_processes": ["three"]}}, "params"),
+            ({"param_grid": {"num_processes": []}}, "params"),
+            ({"param_grid": {"bogus": [1]}}, "params"),
+        ],
+    )
+    def test_expand_grid_names_the_field_of_a_bad_grid(self, kwargs, field):
+        grid = {"scenarios": ["flooding"], "seeds": [0], **kwargs}
+        with pytest.raises(SpecError) as info:
+            expand_grid(grid.pop("scenarios"), **grid)
+        assert info.value.field == field
+        assert str(info.value).startswith(field)
+
     def test_cell_is_deterministic(self):
         cell = make_cell("flooding", adversary="random", seed=5)
         run_a = build_cell_scenario(cell).run()
@@ -455,6 +483,74 @@ class TestCli:
     def test_sweep_rejects_negative_workers(self, capsys):
         assert cli_main(["sweep", "--workers", "-3"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rotate-bytes", "-1"),
+            ("--cell-timeout", "0"),
+            ("--cell-timeout", "nan"),
+            ("--cell-timeout", "inf"),
+            ("--lease-base-s", "nan"),
+            ("--heartbeat-timeout-s", "nan"),
+            ("--heartbeat-timeout-s", "inf"),
+            ("--local-fallback-s", "-5"),
+        ],
+    )
+    def test_sweep_out_of_range_number(self, capsys, flag, value):
+        # Rejected before the grid is printed or any fabric is started.
+        assert cli_main(["sweep", flag, value, "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and f"{flag} must be >= " in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--heartbeat-s", "0"), ("--heartbeat-s", "nan"), ("--connect-timeout-s", "-1")],
+    )
+    def test_worker_out_of_range_number(self, capsys, flag, value):
+        assert cli_main(["worker", "--connect", "127.0.0.1:1", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag} must be >= " in err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--seeds", "0"], "--seeds"),
+            (["--seeds", "-3"], "--seeds"),
+            (["--scenario", ",,"], "--scenario"),
+            (["--adversary", ",,"], "--adversary"),
+            (["--horizon", "0"], "--horizon"),
+            (["--horizon", "-2"], "--horizon"),
+            (["--scenario", "nope"], "--scenario"),
+            (["--adversary", "fastest"], "--adversary"),
+            (["--analysis", "nope"], "--analysis"),
+            (["--scenario", "figure1", "--set", "bogus=1"], "--set"),
+            (["--scenario", "figure1", "--set", "lower_cb="], "--set"),
+        ],
+    )
+    def test_sweep_rejects_bad_grid_naming_the_flag(self, tmp_path, capsys, args, flag):
+        store_path = tmp_path / "results.jsonl"
+        code = cli_main(["sweep", *args, "--workers", "1", "--store", str(store_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + flag) and "Traceback" not in err
+        # Nothing ran: no cell, no telemetry record.
+        assert not store_path.exists()
+
+    @pytest.mark.parametrize("command", ["run", "export"])
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--horizon", "-1"], "--horizon"),
+            (["--horizon", "0"], "--horizon"),
+            (["--set", "bogus=1"], "--set"),
+            (["--set", "lower_cb=fast"], "--set"),
+        ],
+    )
+    def test_single_cell_rejects_bad_grid_naming_the_flag(self, capsys, command, args, flag):
+        assert cli_main([command, "figure1", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: " + flag)
 
     def test_sweep_rejects_force_plus_resume(self, capsys):
         assert cli_main(["sweep", "--force", "--resume"]) == 2

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import statistics
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.experiments import SweepError
+from repro.experiments import SweepError, faults
 from repro.experiments.cli import main as cli_main
+from repro.experiments.remote import read_message, run_worker, send_message
 from repro.experiments.serve import (
     SpecError,
     SweepService,
@@ -115,6 +118,8 @@ class TestEndpointCliErrors:
             ("--shard-size", "0"),
             ("--workers", "0"),
             ("--max-cells", "0"),
+            ("--local-fallback-s", "-5"),
+            ("--local-fallback-s", "nan"),
         ],
     )
     def test_serve_out_of_range_number(self, capsys, flag, value):
@@ -124,7 +129,138 @@ class TestEndpointCliErrors:
         assert err.startswith("error:") and f"{flag} must be >= " in err
 
 
+class TestWorkerEndpoints:
+    """``run_worker`` parses ``--connect`` with ``parse_endpoint`` too."""
+
+    @pytest.mark.parametrize(
+        "family, bind_host, connect",
+        [
+            (socket.AF_INET, "127.0.0.1", ":{port}"),
+            (socket.AF_INET6, "::1", "[::1]:{port}"),
+        ],
+        ids=["empty-host", "bracketed-ipv6"],
+    )
+    def test_worker_reaches_coordinator(self, family, bind_host, connect):
+        try:
+            listener = socket.socket(family, socket.SOCK_STREAM)
+            listener.bind((bind_host, 0))
+        except OSError:
+            pytest.skip(f"cannot bind {bind_host}")
+        listener.listen(1)
+        listener.settimeout(10.0)
+        hello = []
+
+        def coordinator():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                hello.append(read_message(reader))
+                send_message(conn, {"type": "shutdown"})
+                while read_message(reader) is not None:
+                    pass  # drain until the worker hangs up
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        try:
+            address = connect.format(port=listener.getsockname()[1])
+            assert run_worker(address, worker_id="w", connect_timeout_s=5.0) == 0
+        finally:
+            faults.reset()  # run_worker marks this process as a worker
+            thread.join(timeout=10.0)
+            listener.close()
+        assert hello[0]["type"] == "hello" and hello[0]["worker"] == "w"
+
+
+# The grids of the README and the serve-smoke CI job, spelled both ways.
+_PARITY_GRIDS = {
+    "serve-smoke-torus": (
+        ["--scenario", "torus-flood", "--adversary", "random", "--seeds", "24",
+         "--set", "rows=5", "--set", "cols=5", "--set", "horizon=16"],
+        {"scenarios": ["torus-flood"], "adversaries": ["random"], "seeds": 24,
+         "params": {"rows": [5], "cols": [5], "horizon": [16]}},
+    ),
+    "figure1-lower-cb": (
+        ["--scenario", "figure1", "--seeds", "4", "--set", "lower_cb=8,10,12"],
+        {"scenarios": ["figure1"], "seeds": 4, "params": {"lower_cb": [8, 10, 12]}},
+    ),
+    "default": (
+        [],
+        {"scenarios": ["flooding", "torus-flood", "tree-flood"], "seeds": 4},
+    ),
+}
+
+
+class TestCliSpecParity:
+    """``repro sweep`` flags and the equivalent ``POST /sweeps`` spec build
+    the same cells, so a CLI ``--resume`` finds what serve persisted."""
+
+    @pytest.mark.parametrize("grid", sorted(_PARITY_GRIDS))
+    def test_cli_and_spec_build_the_same_keys(self, capsys, grid):
+        flags, spec = _PARITY_GRIDS[grid]
+        assert cli_main(["sweep", *flags, "--dry-run"]) == 0
+        lines = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        ]
+        cells, _ = validate_spec(spec)
+        assert len(lines) == len(cells)
+        assert set(lines) == {cell.key()[:12] for cell in cells}
+
+    @pytest.mark.parametrize(
+        "spec, normalized, sweep_id",
+        [
+            (
+                _PARITY_GRIDS["serve-smoke-torus"][1],
+                {"scenarios": ["torus-flood"], "adversaries": ["random"],
+                 "seeds": list(range(24)), "horizon": None,
+                 "params": {"rows": [5], "cols": [5], "horizon": [16]}},
+                "sweep-d339770267eb",
+            ),
+            (
+                {"scenarios": ["line-flood"], "adversaries": ["earliest", "latest"],
+                 "seeds": 2, "horizon": 4},
+                {"scenarios": ["line-flood"], "adversaries": ["earliest", "latest"],
+                 "seeds": [0, 1], "horizon": 4, "params": {}},
+                "sweep-c7f5862a117f",
+            ),
+        ],
+        ids=["torus", "line-flood"],
+    )
+    def test_serve_smoke_spec_and_sweep_id_unchanged(
+        self, tmp_path, spec, normalized, sweep_id
+    ):
+        assert validate_spec(spec)[1] == normalized
+        # Never started: the job is only queued, nothing executes.
+        job, created = SweepService(str(tmp_path / "results.jsonl")).submit(spec)
+        assert created and job.id == sweep_id
+
+
 class TestValidateSpec:
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({}, "scenarios"),
+            ({"scenarios": []}, "scenarios"),
+            ({"scenarios": ["line-flood"], "adversaries": []}, "adversaries"),
+            ({"scenarios": ["line-flood"], "seeds": 0}, "seeds"),
+            ({"scenarios": ["line-flood"], "seeds": []}, "seeds"),
+            ({"scenarios": ["line-flood"], "analyses": []}, "analyses"),
+            ({"scenarios": ["line-flood"], "params": {"num_processes": []}}, "params"),
+            ({"scenarios": ["line-flood"], "horizon": True}, "horizon"),
+            ({"scenarios": "line-flood"}, "scenarios"),
+            ({"scenarios": ["line-flood"], "adversaries": [1]}, "adversaries"),
+            ({"scenarios": ["line-flood"], "params": [1]}, "params"),
+        ],
+    )
+    def test_bad_spec_names_field(self, spec, field):
+        with pytest.raises(SpecError) as info:
+            validate_spec(spec)
+        assert info.value.field == field
+
+    def test_spec_error_is_a_sweep_error(self):
+        # The CLI maps every SweepError to exit 2.
+        assert issubclass(SpecError, SweepError)
+
     def test_expands_cells_and_normalizes(self):
         cells, normalized = validate_spec(
             {"scenarios": ["line-flood"], "adversaries": ["earliest"], "seeds": 2}
