@@ -180,6 +180,17 @@ _FLAG_BOUNDS = {
 }
 
 
+_ROTATE_BYTES_HELP = (
+    "seal the store tail into a checksummed segment at this size "
+    "(default: %(default)s; 0 disables rotation)"
+)
+
+
+def _rotate_bytes(args: argparse.Namespace) -> Optional[int]:
+    """``--rotate-bytes`` as :class:`ResultStore` takes it: ``0`` means ``None``."""
+    return args.rotate_bytes or None
+
+
 def _check_flag_bounds(args: argparse.Namespace) -> None:
     """Reject any numeric flag below its :data:`_FLAG_BOUNDS` entry or not finite."""
     for dest, minimum in _FLAG_BOUNDS.items():
@@ -303,10 +314,7 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
             print(f"  {cell.key()[:12]}  {cell.describe()}", file=out)
         print("dry run: nothing executed", file=out)
         return 0
-    rotate_bytes: Optional[int] = DEFAULT_ROTATE_BYTES
-    if args.rotate_bytes is not None:
-        rotate_bytes = args.rotate_bytes or None  # 0 disables rotation
-    store = ResultStore(args.store, rotate_bytes=rotate_bytes)
+    store = ResultStore(args.store, rotate_bytes=_rotate_bytes(args))
     progress = (lambda message: print(f"  {message}", file=out)) if args.verbose else None
     backend: Any = "serial"
     if fabric:
@@ -411,7 +419,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     )
     service = SweepService(
         args.store,
-        rotate_bytes=args.rotate_bytes,
+        rotate_bytes=_rotate_bytes(args),
         workers_listen=workers_listen,
         workers=args.workers,
         shard_size=args.shard_size,
@@ -731,10 +739,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--rotate-bytes",
         type=int,
-        default=None,
+        default=DEFAULT_ROTATE_BYTES,
         metavar="N",
-        help="seal the store tail into a checksummed segment at this size "
-        f"(default: {DEFAULT_ROTATE_BYTES}; 0 disables rotation)",
+        help=_ROTATE_BYTES_HELP,
     )
     sweep_parser.add_argument(
         "--cell-timeout",
@@ -969,10 +976,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--rotate-bytes",
         type=int,
-        default=None,
+        default=DEFAULT_ROTATE_BYTES,
         metavar="N",
-        help="tail size that triggers sealing a store segment "
-        "(0 disables rotation; default: library default)",
+        help=_ROTATE_BYTES_HELP,
     )
     serve_parser.add_argument(
         "--verbose", action="store_true", help="log requests and sweep lifecycle"

@@ -963,8 +963,13 @@ class RemoteExecutor(SweepExecutor):
                 name="repro-coordinator-conn",
                 daemon=True,
             )
-            self._threads.append(thread)
+            # Registered only once started, under the lock: _shutdown joins
+            # what it finds there, and joining an unstarted thread raises.
+            # A thread registered after shutdown took its copy still ends:
+            # its connection was in _conns, which shutdown closes.
             thread.start()
+            with self._lock:
+                self._threads.append(thread)
 
     def _serve_connection(
         self,
@@ -1061,6 +1066,7 @@ class RemoteExecutor(SweepExecutor):
             self._stop.set()
             self._wakeup.notify_all()
             conns = list(self._conns)
+            threads = list(self._threads)
         try:
             self._server.close()
         except OSError:
@@ -1076,7 +1082,7 @@ class RemoteExecutor(SweepExecutor):
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        for thread in self._threads:
+        for thread in threads:
             thread.join(timeout=1.0)
 
 

@@ -45,8 +45,8 @@ Invariants this module rides on (and must preserve):
   delta, and rotation, compaction, recovery or repair force a full reload.
   Reads therefore ride the store invariants (advisory index, tail-wins
   lookups, flock'd appends) and ``/results`` stays correct with the index
-  deleted, stale, or disabled.  The view never writes: sweep jobs and
-  recomputes append through writer stores of their own.
+  deleted, stale, corrupt, or unwritable.  The view never writes: sweep
+  jobs and recomputes append through writer stores of their own.
 * **Telemetry is free.**  Every request increments ``serve.*`` counters and
   runs under :func:`~repro.obs.trace.span`, so ``/metrics`` self-reports the
   service's own traffic.
@@ -75,7 +75,7 @@ from .runner import (
     run_sweep,
     validate_spec,
 )
-from .store import DEFAULT_STORE_PATH, ResultStore, canonical_json
+from .store import DEFAULT_ROTATE_BYTES, DEFAULT_STORE_PATH, ResultStore, canonical_json
 
 __all__ = [
     "MAX_CELLS",
@@ -267,7 +267,7 @@ class SweepService:
         self,
         store_path: str = DEFAULT_STORE_PATH,
         *,
-        rotate_bytes: Optional[int] = None,
+        rotate_bytes: Optional[int] = DEFAULT_ROTATE_BYTES,
         workers_listen: Optional[Tuple[str, int]] = None,
         workers: int = 2,
         shard_size: Optional[int] = None,
@@ -298,9 +298,7 @@ class SweepService:
 
     def _open_store(self) -> ResultStore:
         """A new store object: the read view, or a writer of its own."""
-        if self.rotate_bytes is None:
-            return ResultStore(self.store_path)
-        return ResultStore(self.store_path, rotate_bytes=self.rotate_bytes or None)
+        return ResultStore(self.store_path, rotate_bytes=self.rotate_bytes)
 
     # -- sweep lifecycle ---------------------------------------------------
 

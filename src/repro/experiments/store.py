@@ -21,10 +21,14 @@ plus, once the tail outgrows ``rotate_bytes``, *sealed segments* under
   cell is recomputed and the fresh record supersedes it) instead of serving
   garbage.
 * ``<path>.index.json`` — a sidecar index over the *sealed segments only*:
-  cell key -> ``(segment, offset, length)``.  Resume and cache probes are
-  O(1) dictionary hits plus one ``pread`` instead of a full-store scan.
-  The index is advisory: when missing, stale (the on-disk segment list or
-  sizes disagree), or corrupt it is rebuilt from the segments themselves.
+  cell key -> ``(segment, offset, length)``.  It is the one way to find a
+  sealed record: resume and cache probes are O(1) dictionary hits plus one
+  CRC-checked ``pread`` instead of a full-store scan, and a process that
+  sealed a record reads it back the same way a fresh open does.  The index
+  is advisory: when missing, stale (the on-disk segment list or sizes
+  disagree), or corrupt it is rebuilt from the segments themselves.  Its
+  write is best-effort — where it cannot land (a read-only directory) the
+  rebuilt locators still serve the process that built them.
 
 Small stores (under ``rotate_bytes``) never grow sidecars: they stay a
 single tail file, bit-for-bit the legacy layout.
@@ -34,10 +38,11 @@ Crash safety:
 * *appends* (:meth:`ResultStore.put`) are a single ``write(2)`` on an
   ``O_APPEND`` descriptor, so a record is either entirely on disk or not at
   all — a crash can tear at most the final line, never interleave two;
-* *rewrites* (:meth:`ResultStore.compact`, :meth:`ResultStore.recover`, and
-  segment seals) go through a temp file in the same directory followed by an
-  atomic ``os.replace``, with the data fsynced before the rename, so readers
-  always observe either the old file or the complete new one;
+* *whole-file writes* (tail rewrites by :meth:`ResultStore.compact` and
+  :meth:`ResultStore.recover`, segment seals, index writes) all go through
+  :func:`_atomic_write`: a temp file in the same directory, fsynced, then an
+  atomic ``os.replace``, so readers always observe either the old file or
+  the complete new one;
 * *rotation* seals (writes + fsyncs) the segment **before** truncating the
   tail: a crash between the two leaves harmless duplicates (the tail always
   wins over segments on lookup), never a lost record.
@@ -91,7 +96,7 @@ import os
 import re
 import socket
 import time
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 try:  # advisory locking is POSIX-only; the store degrades gracefully
     import fcntl
@@ -214,37 +219,70 @@ def _unwrap_record(line: bytes) -> Optional[Dict[str, Any]]:
     return record
 
 
+def _atomic_write(path: str, chunks: Iterable[bytes], fsync: bool = True) -> None:
+    """Replace ``path`` with ``chunks`` via temp file + ``os.replace``.
+
+    The temp file lives next to ``path`` (same filesystem, so the rename is
+    atomic) under a per-process name, so two writers never share one; it is
+    fsynced before the rename and the directory after it, so a crash at any
+    point leaves either the old complete file or the new one, and a failed
+    write leaves the old file and no temp file behind.  ``fsync=False``
+    skips both fsyncs (the injected ``partial-fsync`` fault).
+    """
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
+            handle.flush()
+            if fsync:
+                os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
+    if not fsync:
+        return
+    try:
+        dir_fd = os.open(directory or os.curdir, os.O_RDONLY)
+    except OSError:
+        return  # platform without directory fds; the rename is done
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 class ResultStore:
     """An append-only, segmented JSONL result cache with an O(1) resume index.
 
     ``rotate_bytes`` is the tail size that triggers sealing (``None``
     disables rotation entirely — the store stays a legacy single file).
-    ``use_index=False`` disables the sidecar index: sealed segments are
-    fully scanned on load instead (the comparison baseline for the resume
-    bench, and a fallback for read-only filesystems where index writes
-    cannot land anyway).
+    Sealed records are found only through the sidecar index's CRC-checked
+    locators; when the index cannot be written (a read-only directory) the
+    locators rebuilt from the segments still serve this process.
     """
 
     def __init__(
         self,
         path: str = DEFAULT_STORE_PATH,
         rotate_bytes: Optional[int] = DEFAULT_ROTATE_BYTES,
-        use_index: bool = True,
     ):
         if rotate_bytes is not None and rotate_bytes < 1:
             raise StoreError(f"rotate_bytes must be >= 1 or None, got {rotate_bytes}")
         self.path = path
         self.rotate_bytes = rotate_bytes
-        self.use_index = use_index
         self._tail: Dict[str, Dict[str, Any]] = {}
-        self._sealed_cache: Dict[str, Dict[str, Any]] = {}
         self._locators: Dict[str, Sequence[int]] = {}
         self._segments: List[str] = []
-        # Segments whose records the in-memory view (locators or full-scan
-        # cache) actually covers.  With several coordinators sealing into one
-        # store this can lag self._segments; rotation folds the gap in before
-        # writing an index, so a written index is always complete for the
-        # segment list it declares.
+        # Segments whose records the locators actually cover.  With several
+        # coordinators sealing into one store this can lag self._segments;
+        # rotation folds the gap in before writing an index, so a written
+        # index is always complete for the segment list it declares.
         self._covered: set = set()
         self._loaded = False
         # What :meth:`refresh` compares the disk against: the tail's identity
@@ -309,12 +347,8 @@ class ResultStore:
         try:
             self._segments = self._list_segments()
             self._segment_sig = self._segment_signature(self._segments)
-            if self._segments:
-                if self.use_index:
-                    if not self._try_load_index():
-                        self._rebuild_index()
-                else:
-                    self._scan_segments()
+            if self._segments and not self._try_load_index():
+                self._rebuild_index()
             self._load_tail(handle)
         finally:
             if handle is not None:
@@ -345,7 +379,6 @@ class ResultStore:
     def reload(self) -> None:
         """Drop every in-memory view and re-read the disk on next access."""
         self._tail = {}
-        self._sealed_cache = {}
         self._locators = {}
         self._segments = []
         self._covered = set()
@@ -450,7 +483,7 @@ class ResultStore:
         self._covered = set(self._segments)
         return True
 
-    def _rebuild_index(self, persist: bool = True) -> None:
+    def _rebuild_index(self) -> None:
         """Rebuild locators by scanning every sealed segment, CRC-verifying.
 
         Corrupt records are left out of the index (they would fail their
@@ -468,31 +501,25 @@ class ResultStore:
         self._locators = locators
         self._covered = set(self._segments)
         _C_INDEX_REBUILDS.value += 1
-        if persist and self.use_index:
-            try:
-                self._write_index()
-            except OSError:
-                pass
+        self._write_index()
 
     def _write_index(self) -> None:
+        """Persist the locators, best-effort: an ``OSError`` is swallowed."""
         payload = {
             "format": INDEX_FORMAT_VERSION,
             "segments": self._segment_stats(),
             "entries": {key: list(loc) for key, loc in self._locators.items()},
         }
-        data = (canonical_json(payload) + "\n").encode("utf-8")
-        tmp_path = f"{self.index_path}.{os.getpid()}.tmp"
-        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.index_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_path)
-            raise
+        with contextlib.suppress(OSError):
+            _atomic_write(self.index_path, [(canonical_json(payload) + "\n").encode("utf-8")])
+
+    def _index_state(self) -> str:
+        """``none`` (no segments), ``missing``, ``stale`` or ``fresh`` (and loaded)."""
+        if not self._segments:
+            return "none"
+        if not os.path.exists(self.index_path):
+            return "missing"
+        return "fresh" if self._try_load_index() else "stale"
 
     def _iter_segment(
         self, name: str
@@ -515,15 +542,6 @@ class ResultStore:
                 yield _unwrap_record(line), offset, min(length, len(raw) - offset)
             offset += length
 
-    def _scan_segments(self) -> None:
-        """Full-scan fallback (``use_index=False``): parse every sealed record."""
-        self._sealed_cache = {}
-        for name in self._segments:
-            for record, _, _ in self._iter_segment(name):
-                if record is not None:
-                    self._sealed_cache[record["key"]] = record
-        self._covered = set(self._segments)
-
     def _absorb_foreign_segments(self) -> None:
         """Fold in segments sealed by other coordinators since our last sync.
 
@@ -540,23 +558,18 @@ class ResultStore:
         on_disk = set(self._segments)
         if not self._covered <= on_disk:
             self._locators = {}
-            self._sealed_cache = {}
             self._covered = set()
-        if self.use_index:
-            for si, name in enumerate(self._segments):
-                if name in self._covered:
+        for si, name in enumerate(self._segments):
+            if name in self._covered:
+                continue
+            for record, offset, length in self._iter_segment(name):
+                if record is None:
                     continue
-                for record, offset, length in self._iter_segment(name):
-                    if record is None:
-                        continue
-                    key = record["key"]
-                    existing = self._locators.get(key)
-                    if existing is None or existing[0] <= si:
-                        self._locators[key] = (si, offset, length)
-                        self._sealed_cache.pop(key, None)
-                self._covered.add(name)
-        elif not self._covered >= on_disk:
-            self._scan_segments()
+                key = record["key"]
+                existing = self._locators.get(key)
+                if existing is None or existing[0] <= si:
+                    self._locators[key] = (si, offset, length)
+            self._covered.add(name)
 
     def _fetch(self, key: str) -> Optional[Dict[str, Any]]:
         """Materialise one sealed record through its locator, CRC-verified."""
@@ -610,25 +623,20 @@ class ResultStore:
 
     # -- queries -----------------------------------------------------------
 
-    def _sealed_keys(self) -> Mapping[str, Any]:
-        return self._locators if self.use_index else self._sealed_cache
-
     def __len__(self) -> int:
         self._ensure_loaded()
-        sealed = self._sealed_keys()
-        if not sealed:
+        if not self._locators:
             return len(self._tail)
         if not self._tail:
-            return len(sealed)
-        return len(set(sealed) | set(self._tail))
+            return len(self._locators)
+        return len(set(self._locators) | set(self._tail))
 
     def __contains__(self, key: str) -> bool:
         self._ensure_loaded()
         if key in self._tail:
             return True
-        if key in self._sealed_keys():
-            if self.use_index:
-                _C_INDEX_HITS.value += 1
+        if key in self._locators:
+            _C_INDEX_HITS.value += 1
             return True
         return False
 
@@ -638,22 +646,16 @@ class ResultStore:
         record = self._tail.get(key)
         if record is not None:
             return record
-        record = self._sealed_cache.get(key)
-        if record is not None:
-            if self.use_index:
-                _C_INDEX_HITS.value += 1
-            return record
-        if self.use_index and key in self._locators:
+        if key in self._locators:
             _C_INDEX_HITS.value += 1
             return self._fetch(key)
         return None
 
     def keys(self) -> Tuple[str, ...]:
         self._ensure_loaded()
-        sealed = self._sealed_keys()
-        if not sealed:
+        if not self._locators:
             return tuple(self._tail)
-        merged = dict.fromkeys(sealed)
+        merged = dict.fromkeys(self._locators)
         merged.update(dict.fromkeys(self._tail))
         return tuple(merged)
 
@@ -767,44 +769,19 @@ class ResultStore:
         except FileNotFoundError:
             return True
 
-    def _atomic_rewrite(self, lines: Sequence[bytes]) -> None:
-        """Replace the store file with ``lines`` via temp-file + rename.
+    def _read_tail(self) -> Tuple[bytes, List[Tuple[bytes, Optional[Dict[str, Any]]]]]:
+        """The raw tail and its non-blank lines, each with its parsed record.
 
-        The temp file lives in the store's own directory (same filesystem, so
-        the rename is atomic) and is fsynced before ``os.replace``; a crash at
-        any point leaves either the old complete file or the new one.  The
-        temp name is per-process so two rewriters never share a temp file;
-        note that a rewrite snapshots the file, so records appended by
-        *another* process between the read and the rename are dropped —
-        rewrites (compact/recover) belong to a single coordinating process,
-        while appends are safe from many.
+        The record is ``None`` for a torn or corrupt line.  A missing tail
+        reads as empty.  Callers hold the exclusive lock (or, for a
+        read-only :meth:`verify`, the shared one).
         """
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp_path = f"{self.path}.{os.getpid()}.tmp"
-        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.writelines(lines)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        if directory:
-            try:
-                dir_fd = os.open(directory, os.O_RDONLY)
-            except OSError:
-                return  # platform without directory fds; rename already done
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            with open(self.path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            raw = b""
+        return raw, [(line, _parse_line(line)) for line in raw.split(b"\n") if line.strip()]
 
     # -- rotation and sealing ----------------------------------------------
 
@@ -848,34 +825,12 @@ class ResultStore:
             # cache miss; every other record still verifies.
             position = meta_len + (len(buf) - meta_len) // 2
             buf[position] ^= 0xFF
-        os.makedirs(self.segments_dir, exist_ok=True)
-        final_path = self._segment_path(name)
-        tmp_path = f"{final_path}.{os.getpid()}.tmp"
-        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(buf)
-                handle.flush()
-                if "partial-fsync" in seal_kinds:
-                    # The fsync never happened and the page cache lost the
-                    # end of the file: the last record line is torn.
-                    handle.truncate(max(meta_len, len(buf) - 16))
-                else:
-                    os.fsync(handle.fileno())
-            os.replace(tmp_path, final_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_path)
-            raise
-        try:
-            dir_fd = os.open(self.segments_dir, os.O_RDONLY)
-        except OSError:
-            pass
-        else:
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+        partial = "partial-fsync" in seal_kinds
+        if partial:
+            # The fsync never happened and the page cache lost the end of the
+            # file: the last record line is torn.
+            del buf[max(meta_len, len(buf) - 16) :]
+        _atomic_write(self._segment_path(name), [buf], fsync=not partial)
         _C_SEGMENTS_SEALED.value += 1
         return entries
 
@@ -893,16 +848,11 @@ class ResultStore:
         if not os.path.exists(self.path):
             return None
         with self._locked(exclusive=True):
-            with open(self.path, "rb") as handle:
-                raw = handle.read()
+            raw, lines = self._read_tail()
             threshold = self.rotate_bytes
             if not force and (threshold is None or len(raw) < threshold):
                 return None  # another process rotated while we waited
-            sealed: List[Dict[str, Any]] = []
-            for line in raw.split(b"\n"):
-                record = _parse_line(line)
-                if record is not None:
-                    sealed.append(record)
+            sealed = [record for _, record in lines if record is not None]
             if not sealed:
                 return None
             self._segments = self._list_segments()
@@ -910,20 +860,16 @@ class ResultStore:
             name = self._next_segment_name()
             rotate_kinds = {rule.kind for rule in _faults.storage_fault("store.rotate")}
             entries = self._write_segment(name, sealed)
-            self._atomic_rewrite([])
+            _atomic_write(self.path, [])
             si = len(self._segments)
             self._segments.append(name)
             self._covered.add(name)
-            if self.use_index:
-                for key, (offset, length) in entries.items():
-                    self._locators[key] = (si, offset, length)
-                if "stale-index" not in rotate_kinds:
-                    with contextlib.suppress(OSError):
-                        self._write_index()
-            # The sealed records stay served from memory either way; the
-            # values are identical to what a fetch would verify and return.
-            for record in sealed:
-                self._sealed_cache[record["key"]] = record
+            # From here on the sealed records are served only through their
+            # locators, CRC-checked, exactly as a fresh open would serve them.
+            for key, (offset, length) in entries.items():
+                self._locators[key] = (si, offset, length)
+            if "stale-index" not in rotate_kinds:
+                self._write_index()
             self._tail = {}
             self._segment_sig = None
         _C_ROTATIONS.value += 1
@@ -940,7 +886,7 @@ class ResultStore:
         self._ensure_loaded()
         if self._tail:
             self.rotate(force=True)
-        elif self._segments and self.use_index and not self._try_load_index():
+        elif self._segments and not self._try_load_index():
             self._rebuild_index()
         return self.info()
 
@@ -968,31 +914,18 @@ class ResultStore:
         dropped = 0
         if os.path.exists(self.path):
             with self._locked(exclusive=True):
-                with open(self.path, "rb") as handle:
-                    raw = handle.read()
-                kept: List[bytes] = []
-                for line in raw.split(b"\n"):
-                    if not line.strip():
-                        continue
-                    if _parse_line(line) is None:
-                        dropped += 1
-                    else:
-                        kept.append(line + b"\n")
-                clean = raw.endswith(b"\n") or not raw
-                if dropped or not clean:
-                    self._atomic_rewrite(kept)
+                raw, lines = self._read_tail()
+                kept = [line + b"\n" for line, record in lines if record is not None]
+                dropped = len(lines) - len(kept)
+                if dropped or raw[-1:] not in (b"", b"\n"):  # an unterminated last line
+                    _atomic_write(self.path, kept)
                     with open(self.path, "rb") as handle:
                         self._load_tail(handle)
                     self._segment_sig = None
         on_disk = self._list_segments()
-        if on_disk != self._segments or (
-            on_disk and self.use_index and not self._try_load_index()
-        ):
+        if on_disk != self._segments or (on_disk and not self._try_load_index()):
             self._segments = on_disk
-            if self.use_index:
-                self._rebuild_index()
-            else:
-                self._scan_segments()
+            self._rebuild_index()
         _C_RECOVER_DROPPED.value += dropped
         return dropped
 
@@ -1023,20 +956,12 @@ class ResultStore:
                     total_lines += 1
                     if record is not None:
                         merged[record["key"]] = record
-            try:
-                with open(self.path, "rb") as handle:
-                    raw = handle.read()
-            except FileNotFoundError:
-                raw = b""
-            for line in raw.split(b"\n"):
-                if not line.strip():
-                    continue
-                total_lines += 1
-                record = _parse_line(line)
+            raw, tail_lines = self._read_tail()
+            total_lines += len(tail_lines)
+            for _, record in tail_lines:
                 if record is not None:
                     merged[record["key"]] = record
-            clean = raw.endswith(b"\n") or not raw
-            if total_lines == len(merged) and clean:
+            if total_lines == len(merged) and raw[-1:] in (b"", b"\n"):
                 return 0
             lines = [
                 (canonical_json(record) + "\n").encode("utf-8")
@@ -1066,7 +991,6 @@ class ResultStore:
                     chunks.append(chunk)
                 new_segments: List[str] = []
                 self._locators = {}
-                self._sealed_cache = {}
                 for chunk in chunks:
                     name = self._next_segment_name()
                     entries = self._write_segment(name, chunk, fire_faults=False)
@@ -1075,22 +999,18 @@ class ResultStore:
                     new_segments.append(name)
                     for key, (offset, length) in entries.items():
                         self._locators[key] = (si, offset, length)
-                    for record in chunk:
-                        self._sealed_cache[record["key"]] = record
-                self._atomic_rewrite([])
+                _atomic_write(self.path, [])
                 for name in old_segments:
                     with contextlib.suppress(OSError):
                         os.unlink(self._segment_path(name))
                 self._segments = new_segments
                 self._covered = set(new_segments)
                 self._tail = {}
-                if self.use_index:
-                    with contextlib.suppress(OSError):
-                        self._write_index()
+                self._write_index()
             else:
                 # Collapse to the legacy single-file layout: tail holds
                 # everything, sidecars disappear.
-                self._atomic_rewrite(lines)
+                _atomic_write(self.path, lines)
                 for name in old_segments:
                     with contextlib.suppress(OSError):
                         os.unlink(self._segment_path(name))
@@ -1101,7 +1021,6 @@ class ResultStore:
                 self._segments = []
                 self._covered = set()
                 self._locators = {}
-                self._sealed_cache = {}
                 self._tail = merged
             self._segment_sig = None
         dropped = total_lines - len(merged)
@@ -1151,27 +1070,11 @@ class ResultStore:
                 report["corrupt_records"] += corrupt
                 if corrupt:
                     damaged[name] = good
-            try:
-                with open(self.path, "rb") as handle:
-                    raw = handle.read()
-            except FileNotFoundError:
-                raw = b""
-            for line in raw.split(b"\n"):
-                if not line.strip():
-                    continue
-                if _parse_line(line) is None:
-                    report["tail_torn_lines"] += 1
-                else:
-                    report["tail_records"] += 1
-            if self._segments:
-                if not self.use_index:
-                    report["index"] = "disabled"
-                elif not os.path.exists(self.index_path):
-                    report["index"] = "missing"
-                elif self._try_load_index():
-                    report["index"] = "fresh"
-                else:
-                    report["index"] = "stale"
+            _, tail_lines = self._read_tail()
+            torn = sum(1 for _, record in tail_lines if record is None)
+            report["tail_torn_lines"] = torn
+            report["tail_records"] = len(tail_lines) - torn
+            report["index"] = self._index_state()
             if repair:
                 for name, good in damaged.items():
                     self._write_segment(name, good, fire_faults=False)
@@ -1184,39 +1087,29 @@ class ResultStore:
                 self.recover()
             self._segments = self._list_segments()
             if self._segments:
-                if self.use_index:
-                    self._rebuild_index()
-                    report["index"] = "fresh"
-                else:
-                    self._scan_segments()
+                self._rebuild_index()
+                report["index"] = "fresh"
             report["corrupt_dropped"] = report["corrupt_records"]
             report["corrupt_records"] = 0
             report["tail_torn_lines"] = 0
         report["ok"] = (
             report["corrupt_records"] == 0
             and report["tail_torn_lines"] == 0
-            and report["index"] in ("none", "fresh", "disabled")
+            and report["index"] in ("none", "fresh")
         )
         return report
 
     def info(self) -> Dict[str, Any]:
         """Layout summary: segment count/records, tail records, index state."""
         self._ensure_loaded()
-        index_state = "none"
-        if self._segments:
-            if not self.use_index:
-                index_state = "disabled"
-            elif not os.path.exists(self.index_path):
-                index_state = "missing"
-            else:
-                index_state = "fresh" if self._try_load_index() else "stale"
+        index_state = self._index_state()
         return {
             "path": self.path,
             "format": STORE_FORMAT_VERSION,
             "segment_format": SEGMENT_FORMAT_VERSION,
             "rotate_bytes": self.rotate_bytes,
             "segments": list(self._segments),
-            "sealed_records": len(self._sealed_keys()),
+            "sealed_records": len(self._locators),
             "tail_records": len(self._tail),
             "keys": len(self),
             "index": index_state,

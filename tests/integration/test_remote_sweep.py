@@ -10,7 +10,9 @@ so the handler contract can be asserted directly.
 """
 
 import os
+import queue
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -329,6 +331,37 @@ class TestRemoteExecutor:
         assert all(r["status"] == "error" for r in handler.records.values())
         assert all("WorkerFailure" in r["error"] for r in handler.records.values())
         assert executor.fabric_summary()["quarantined"] == len(cells)
+
+    def test_shutdown_while_a_connection_thread_starts(self, monkeypatch):
+        """A shutdown landing between a connection thread's creation and its
+        start must not try to join the unstarted thread: that raised, and
+        the raise skipped the rest of the teardown (the local fleet's
+        stop)."""
+        executor = _executor()
+        starting = threading.Event()
+        shut_down = threading.Event()
+        real_thread = threading.Thread
+
+        class GatedThread(real_thread):
+            def start(self):
+                if self.name == "repro-coordinator-conn":
+                    starting.set()
+                    shut_down.wait(5.0)
+                super().start()
+
+        # No message is ever read, so the connection needs no scheduler.
+        accept = real_thread(target=executor._accept_loop, args=(None, queue.Queue()), daemon=True)
+        monkeypatch.setattr(threading, "Thread", GatedThread)
+        accept.start()
+        client = socket.create_connection(executor.address)
+        try:
+            assert starting.wait(5.0)
+            executor._shutdown()
+        finally:
+            shut_down.set()
+            accept.join(5.0)
+            client.close()
+        assert not accept.is_alive()
 
 
 class TestWorkerTrace:

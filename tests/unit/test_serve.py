@@ -20,6 +20,7 @@ import urllib.request
 import pytest
 
 from repro.experiments import SweepError, faults
+from repro.experiments.cli import _rotate_bytes, build_parser
 from repro.experiments.cli import main as cli_main
 from repro.experiments.remote import read_message, run_worker, send_message
 from repro.experiments.serve import (
@@ -28,6 +29,7 @@ from repro.experiments.serve import (
     parse_endpoint,
     validate_spec,
 )
+from repro.experiments.store import DEFAULT_ROTATE_BYTES
 
 
 class TestParseEndpoint:
@@ -233,6 +235,38 @@ class TestCliSpecParity:
         # Never started: the job is only queued, nothing executes.
         job, created = SweepService(str(tmp_path / "results.jsonl")).submit(spec)
         assert created and job.id == sweep_id
+
+
+class TestRotateBytes:
+    """``--rotate-bytes`` and ``SweepService(rotate_bytes=)`` take what
+    ``ResultStore`` takes: a size, by default the library's, or ``None``
+    for no rotation, which the flag spells ``0``."""
+
+    @pytest.mark.parametrize("command", ["sweep", "serve"])
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], DEFAULT_ROTATE_BYTES),
+            (["--rotate-bytes", "0"], None),
+            (["--rotate-bytes", "4096"], 4096),
+        ],
+        ids=["default", "zero", "size"],
+    )
+    def test_flag(self, command, flags, expected):
+        assert _rotate_bytes(build_parser().parse_args([command, *flags])) == expected
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            ({}, DEFAULT_ROTATE_BYTES),
+            ({"rotate_bytes": None}, None),
+            ({"rotate_bytes": 4096}, 4096),
+        ],
+        ids=["default", "none", "size"],
+    )
+    def test_service(self, tmp_path, kwargs, expected):
+        service = SweepService(str(tmp_path / "results.jsonl"), **kwargs)
+        assert service._open_store().rotate_bytes == expected
 
 
 class TestValidateSpec:

@@ -7,6 +7,8 @@ via an atomic temp-file + rename rewrite, and compaction/recovery are
 idempotent.
 """
 
+import contextlib
+import errno
 import json
 import os
 
@@ -22,6 +24,24 @@ def _record(key, value=0):
 def _raw_lines(path):
     with open(path, "rb") as handle:
         return handle.read().split(b"\n")
+
+
+def _segment_seal(tmp_path):
+    """``rotate()`` seals the tail into a segment before emptying the tail."""
+    store = ResultStore(str(tmp_path / "results.jsonl"))
+    store.put(_record("a"))
+    store.put(_record("b"))
+    return store, store.path, lambda: store.rotate(force=True)
+
+
+def _index_write(tmp_path):
+    """A fresh open rebuilds a corrupt index and writes it (best-effort)."""
+    store = ResultStore(str(tmp_path / "results.jsonl"))
+    store.put(_record("a"))
+    store.rotate(force=True)
+    with open(store.index_path, "wb") as handle:
+        handle.write(b"not json{{{")
+    return store, store.index_path, lambda: ResultStore(store.path).info()
 
 
 class TestTornTailRecovery:
@@ -130,6 +150,66 @@ class TestAtomicWrites:
             "results.jsonl",
             "results.jsonl.lock",
         ]
+
+    @pytest.mark.parametrize(
+        "writer, raises",
+        [(_segment_seal, True), (_index_write, False)],
+        ids=["rotate", "index"],
+    )
+    def test_failed_seal_or_index_write_preserves_the_original(
+        self, tmp_path, monkeypatch, writer, raises
+    ):
+        """The segment seal and the index write go through the tail
+        rewrite's atomic writer: a failing ``os.replace`` leaves the
+        target's bytes, every record, and no temp file behind."""
+        store, path, write = writer(tmp_path)
+        before = open(path, "rb").read()
+        records = store.records()
+
+        def explode(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", explode)
+        # The index write is best-effort: its failure is swallowed.
+        with pytest.raises(OSError) if raises else contextlib.nullcontext():
+            write()
+        monkeypatch.undo()
+        assert open(path, "rb").read() == before  # old file intact
+        leftovers = [
+            name
+            for _, _, names in os.walk(tmp_path)
+            for name in names
+            if name.endswith(".tmp")
+        ]
+        assert leftovers == []  # temp cleaned up
+        assert ResultStore(store.path).records() == records
+
+    def test_unwritable_index_still_serves_every_sealed_record(self, tmp_path, monkeypatch):
+        """A read-only directory refuses the index's temp file: the writer
+        and a fresh reader both serve every sealed record through locators
+        held in memory, and the next open that can write the index does."""
+        path = str(tmp_path / "results.jsonl")
+        real_open = os.open
+
+        def read_only_index(name, flags, *args):
+            if ".index.json." in os.fspath(name) and flags & os.O_CREAT:
+                raise PermissionError(errno.EACCES, "read-only directory", name)
+            return real_open(name, flags, *args)
+
+        monkeypatch.setattr(os, "open", read_only_index)
+        writer = ResultStore(path, rotate_bytes=256)
+        records = [_record(f"k{i}", i) for i in range(20)]
+        writer.put_many(records)
+        reader = ResultStore(path, rotate_bytes=256)
+        for store in (writer, reader):
+            assert store.info()["segments"]
+            assert store.info()["index"] == "missing"
+            for record in records:
+                assert store.get(record["key"]) == record
+        monkeypatch.undo()
+        reopened = ResultStore(path, rotate_bytes=256)
+        assert reopened.info()["index"] == "fresh"
+        assert [reopened.get(record["key"]) for record in records] == records
 
     def test_rejects_keyless_records(self, tmp_path):
         store = ResultStore(str(tmp_path / "results.jsonl"))
