@@ -49,10 +49,9 @@ from .faults import (
 )
 from .reporting import (
     DEFAULT_REPORT_METRICS,
-    aggregate_metric,
     cell_records,
     format_aggregate,
-    group_records,
+    report_groups,
     report_payload,
 )
 from .runner import (
@@ -177,6 +176,7 @@ _FLAG_BOUNDS = {
     "heartbeat_s": 0.001,
     "local_fallback_s": 0.0,
     "connect_timeout_s": 0.0,
+    "diagrams": 0,
 }
 
 
@@ -540,20 +540,19 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
 
     group_fields = _csv(args.group_by)
     metrics = list(args.metric) if args.metric else list(DEFAULT_REPORT_METRICS)
-    groups = group_records(records, group_fields)
 
     if args.json:
         payload = report_payload(records, group_fields, metrics)
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
 
-    header = group_fields + ["cells"] + list(metrics)
-    rows_out: List[List[str]] = []
-    for group, rows in sorted(groups.items()):
-        row = list(group) + [str(len(rows))]
-        for metric in metrics:
-            row.append(format_aggregate(aggregate_metric(rows, metric)))
-        rows_out.append(row)
+    header = group_fields + ["cells"] + metrics
+    rows_out = [
+        list(group)
+        + [str(cells)]
+        + [format_aggregate(summaries.get(metric)) for metric in metrics]
+        for group, cells, summaries in report_groups(records, group_fields, metrics)
+    ]
 
     if args.html is not None:
         from ..viz.html_report import render_html_report

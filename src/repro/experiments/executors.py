@@ -61,7 +61,14 @@ ResultHandler = Callable[[int, SweepCell, Dict[str, Any]], None]
 
 
 class SweepExecutor(ABC):
-    """How the pending cells of one sweep get executed."""
+    """How the pending cells of one sweep get executed.
+
+    A backend implements :meth:`execute`.  ``run_sweep`` then reads two
+    telemetry sources off it: :attr:`worker_telemetry` (metric deltas,
+    shard timings and trace events shipped by other processes) and
+    :meth:`fabric_summary` (the fabric's event counters, worker liveness
+    and event log; empty off the fabric).
+    """
 
     #: Short name reported in outcomes and the CLI.
     name: str = "abstract"
@@ -91,27 +98,14 @@ class SweepExecutor(ABC):
             self.__dict__["_worker_telemetry"] = collector
         return collector
 
-    @property
-    def fabric(self) -> Dict[str, Any]:
-        """Mutable robustness accounting (replacements, inline fallbacks).
-
-        Persisted into the sweep telemetry record as its ``fabric`` section
-        (see :func:`repro.experiments.runner.run_sweep`); lazily created so
-        executors that never touch it ship nothing.
-        """
-        stats = self.__dict__.get("_fabric")
-        if stats is None:
-            stats = {}
-            self.__dict__["_fabric"] = stats
-        return stats
-
     def fabric_summary(self) -> Dict[str, Any]:
-        """A JSON-safe copy of the robustness accounting (may be empty)."""
-        return dict(self.__dict__.get("_fabric") or {})
+        """The fabric's robustness accounting (counters, workers, events).
 
-    def _bump(self, key: str, amount: int = 1) -> None:
-        fabric = self.fabric
-        fabric[key] = fabric.get(key, 0) + amount
+        Persisted as the sweep telemetry's ``fabric`` section (see
+        :func:`repro.experiments.runner.run_sweep`); empty for backends
+        without a fabric.
+        """
+        return {}
 
     def _absorb_worker_payload(
         self, payload: Mapping[str, Any], cells: int, **extra: Any
@@ -237,26 +231,20 @@ def resolve_executor(
     backend: Union[str, SweepExecutor] = "auto",
     workers: int = 1,
     shard_size: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
 ) -> SweepExecutor:
     """Turn a backend name (or a ready executor) into a :class:`SweepExecutor`.
 
     ``auto`` picks the serial path for one worker and the fabric otherwise.
     ``fabric`` builds a loopback coordinator that forks ``workers`` local
-    worker processes; callers who need a fixed listen address, external
-    workers, or tuned lease/heartbeat timeouts construct a
-    :class:`~repro.experiments.remote.RemoteExecutor` themselves and pass it
-    as the backend (the CLI does).  ``cell_timeout`` is the fabric lease's
-    per-cell budget (``lease_cell_s``): a worker holding a shard past its
-    lease is killed and replaced, and the shard re-served.  ``None`` keeps
-    the fabric's default lease; the serial path runs without deadlines.
+    worker processes under the default lease; callers who need a fixed
+    listen address, external workers, or tuned lease/heartbeat timeouts
+    construct a :class:`~repro.experiments.remote.RemoteExecutor` themselves
+    and pass it as the backend (the CLI does).
     """
     if isinstance(backend, SweepExecutor):
         return backend
     if workers < 1:
         raise SweepError(f"workers must be >= 1, got {workers}")
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise SweepError(f"cell timeout must be > 0, got {cell_timeout}")
     if backend == "auto":
         backend = "serial" if workers == 1 else "fabric"
     if backend == "serial":
@@ -264,8 +252,5 @@ def resolve_executor(
     if backend == "fabric":
         from .remote import RemoteExecutor  # executors <-> remote layering
 
-        lease = {} if cell_timeout is None else {"lease_cell_s": cell_timeout}
-        return RemoteExecutor(
-            workers_hint=workers, local_workers=workers, shard_size=shard_size, **lease
-        )
+        return RemoteExecutor(workers_hint=workers, local_workers=workers, shard_size=shard_size)
     raise SweepError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")

@@ -90,16 +90,6 @@ __all__ = [
     "send_message",
 ]
 
-_C_WORKERS_JOINED = _metrics.counter("remote.workers_joined")
-_C_WORKERS_DEAD = _metrics.counter("remote.workers_dead")
-_C_HEARTBEATS = _metrics.counter("remote.heartbeats")
-_C_LEASES_GRANTED = _metrics.counter("remote.leases_granted")
-_C_LEASES_EXPIRED = _metrics.counter("remote.leases_expired")
-_C_SHARD_RETRIES = _metrics.counter("remote.shard_retries")
-_C_RESULTS = _metrics.counter("remote.results_received")
-_C_DUPLICATES = _metrics.counter("remote.duplicate_results_dropped")
-_C_QUARANTINED = _metrics.counter("remote.cells_quarantined")
-_C_FALLBACK_CELLS = _metrics.counter("remote.local_fallback_cells")
 _C_WORKER_SHARDS = _metrics.counter("remote.worker_shards_executed")
 _C_WORKER_RECONNECTS = _metrics.counter("remote.worker_reconnects")
 
@@ -263,8 +253,16 @@ class FabricScheduler:
 
     # -- accounting --------------------------------------------------------
 
-    def _count(self, key: str, amount: int = 1) -> None:
+    def count(self, key: str, amount: int = 1) -> None:
+        """Count one fabric event: the only place a fabric event is counted.
+
+        Adds to ``counts[key]`` (the sweep's ``fabric.counters``) and to the
+        process registry's ``remote.<key>``, so the two never drift apart.
+        The coordinator also counts its own events (worker replacements,
+        inline shards) here, under its lock.
+        """
         self.counts[key] = self.counts.get(key, 0) + amount
+        _metrics.counter(f"remote.{key}").value += amount
 
     def _event(self, now: float, event: str, **extra: Any) -> None:
         if len(self.events) < 500:  # bounded: telemetry, not a log
@@ -295,13 +293,12 @@ class FabricScheduler:
         worker = self._workers.get(worker_id)
         if worker is None:
             worker = self._workers[worker_id] = _Worker(worker_id=worker_id, last_seen=now)
-            _C_WORKERS_JOINED.value += 1
-            self._count("workers_joined")
+            self.count("workers_joined")
             self._event(now, "worker-joined", worker=worker_id)
         worker.last_seen = now
         if not worker.alive:
             worker.alive = True
-            self._count("workers_rejoined")
+            self.count("workers_rejoined")
             self._event(now, "worker-rejoined", worker=worker_id)
         return worker
 
@@ -313,8 +310,7 @@ class FabricScheduler:
 
     def heartbeat(self, worker_id: str, now: float) -> None:
         self._touch(worker_id, now)
-        _C_HEARTBEATS.value += 1
-        self._count("heartbeats")
+        self.count("heartbeats")
 
     def disconnect(
         self, worker_id: str, generation: int, now: float
@@ -341,8 +337,7 @@ class FabricScheduler:
         self, worker: _Worker, now: float, reason: str
     ) -> List[Tuple[int, SweepCell, int]]:
         worker.alive = False
-        _C_WORKERS_DEAD.value += 1
-        self._count("workers_dead")
+        self.count("workers_dead")
         self._event(now, "worker-dead", worker=worker.worker_id, reason=reason)
         quarantined: List[Tuple[int, SweepCell, int]] = []
         for lease_id in list(worker.leases):
@@ -384,8 +379,7 @@ class FabricScheduler:
             lease_id=lease_id, worker=worker_id, shard=shard, deadline=deadline
         )
         worker.leases.add(lease_id)
-        _C_LEASES_GRANTED.value += 1
-        self._count("leases_granted")
+        self.count("leases_granted")
         return {
             "type": "assign",
             "lease": lease_id,
@@ -413,16 +407,14 @@ class FabricScheduler:
         exactly once per cell.
         """
         worker = self._touch(worker_id, now)
-        _C_RESULTS.value += 1
-        self._count("results_received")
+        self.count("results_received")
         lease = self._leases.pop(lease_id, None) if lease_id else None
         if lease is not None:
             self._workers[lease.worker].leases.discard(lease.lease_id)
         fresh: List[Tuple[int, SweepCell, Dict[str, Any]]] = []
         for index, record in results:
             if index in self._done or index in self._quarantined or index not in self._cells:
-                _C_DUPLICATES.value += 1
-                self._count("duplicates_dropped")
+                self.count("duplicates_dropped")
                 continue
             self._done.add(index)
             worker.completed_cells += 1
@@ -442,8 +434,7 @@ class FabricScheduler:
         shard = lease.shard
         shard.failures += 1
         shard.failed_workers.add(lease.worker)
-        _C_SHARD_RETRIES.value += 1
-        self._count("shard_retries")
+        self.count("shard_retries")
         self._event(now, "shard-requeued", worker=lease.worker, reason=reason,
                     cells=len(shard.cells), failures=shard.failures)
         quarantined: List[Tuple[int, SweepCell, int]] = []
@@ -486,8 +477,7 @@ class FabricScheduler:
     def _quarantine(self, index: int, cell: SweepCell, now: float) -> Tuple[int, SweepCell, int]:
         distinct = len(self._cell_failures.get(index, ()))
         self._quarantined.add(index)
-        _C_QUARANTINED.value += 1
-        self._count("cells_quarantined")
+        self.count("cells_quarantined")
         self._event(now, "cell-quarantined", index=index, distinct_workers=distinct)
         return index, cell, distinct
 
@@ -508,8 +498,7 @@ class FabricScheduler:
                 )
         for lease in list(self._leases.values()):
             if now > lease.deadline:
-                _C_LEASES_EXPIRED.value += 1
-                self._count("leases_expired")
+                self.count("leases_expired")
                 self._event(now, "lease-expired", worker=lease.worker,
                             lease=lease.lease_id)
                 self._evicted.add(lease.worker)
@@ -562,11 +551,10 @@ class FabricScheduler:
         fresh: List[Tuple[int, SweepCell, Dict[str, Any]]] = []
         for index, cell, record in results:
             if index in self._done or index in self._quarantined:
-                self._count("duplicates_dropped")
+                self.count("duplicates_dropped")
                 continue
             self._done.add(index)
-            _C_FALLBACK_CELLS.value += 1
-            self._count("local_fallback_cells")
+            self.count("local_fallback_cells")
             fresh.append((index, cell, record))
         return fresh
 
@@ -729,6 +717,12 @@ class RemoteExecutor(SweepExecutor):
     which also enforces lease deadlines on every tick (so a hung fleet can
     never stall the sweep past its deadlines) and degrades to inline
     execution when no live workers remain.
+
+    Every fabric event is counted once, by :meth:`FabricScheduler.count`
+    (under the lock), including the coordinator's own ``workers_replaced``
+    and ``local_fallback_shards``; :meth:`fabric_summary` is the
+    scheduler's :meth:`~FabricScheduler.summary` (``counters``,
+    ``workers``, ``events``).
     """
 
     name = "fabric"
@@ -790,17 +784,11 @@ class RemoteExecutor(SweepExecutor):
             self._shutdown()
             if self._fleet is not None:
                 self._fleet.stop()
-            if self._scheduler is not None:
-                # Flushed once, after shutdown: connection teardown may still
-                # record worker-dead events.
-                for event in self._scheduler.events:
-                    self.worker_telemetry.add_worker_event(event)
 
     def fabric_summary(self) -> Dict[str, Any]:
-        summary = dict(self.__dict__.get("_fabric") or {})
-        if self._scheduler is not None:
-            summary.update(self._scheduler.summary())
-        return summary
+        # Locked: `repro serve` snapshots read it while the sweep runs.
+        with self._lock:
+            return {} if self._scheduler is None else self._scheduler.summary()
 
     # -- coordinator main loop ---------------------------------------------
 
@@ -849,7 +837,8 @@ class RemoteExecutor(SweepExecutor):
             if self._fleet is not None:
                 replaced = self._fleet.supervise(evicted, results_received)
                 if replaced:
-                    self._bump("workers_replaced", replaced)
+                    with self._lock:
+                        scheduler.count("workers_replaced", replaced)
             if live:
                 no_workers_since = None
             elif no_workers_since is None:
@@ -926,12 +915,12 @@ class RemoteExecutor(SweepExecutor):
             fresh = scheduler.record_local(
                 [(index, cell, record) for (index, cell), record in zip(shard, payload["records"])]
             )
+            scheduler.count("local_fallback_shards")
         # In-process execution: metrics already landed in the parent
         # registry, so record shard wall-time metadata only.
         self.worker_telemetry.add_shard(
             len(shard), payload["wall_s"], in_process=True, local_fallback=True
         )
-        self._bump("local_fallback_shards")
         for index, cell, record in fresh:
             handle(index, cell, record)
         return True

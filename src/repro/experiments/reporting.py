@@ -37,6 +37,7 @@ __all__ = [
     "format_aggregate",
     "group_records",
     "is_cell",
+    "report_groups",
     "report_payload",
     "report_row",
 ]
@@ -178,6 +179,37 @@ def format_aggregate(summary: Optional[Mapping[str, Any]]) -> str:
     return " ".join(f"{label}:{n}" for label, n in summary["counts"].items())
 
 
+def report_groups(
+    records: Sequence[Mapping[str, Any]],
+    group_fields: Sequence[str],
+    metrics: Optional[Sequence[str]] = None,
+    rows: Optional[Sequence[Mapping[str, Any]]] = None,
+) -> List[Tuple[Tuple[str, ...], int, Dict[str, Dict[str, Any]]]]:
+    """The one report aggregation: ``(group, cells, summaries)`` per group,
+    sorted by group.
+
+    ``summaries`` maps each requested metric (default
+    :data:`DEFAULT_REPORT_METRICS`) that any row of the group carries to its
+    :func:`aggregate_metric` summary.  Every report surface is a view of
+    this: :func:`report_payload` (``repro report --json``, serve
+    ``/report``) and the text table and HTML rows of ``repro report``
+    (:func:`format_aggregate` of each summary).  ``rows`` passes
+    pre-flattened rows through to :func:`group_records`; records then need
+    no ``analyses``.
+    """
+    chosen = list(metrics) if metrics else list(DEFAULT_REPORT_METRICS)
+    groups = group_records(records, group_fields, rows=rows)
+    aggregated: List[Tuple[Tuple[str, ...], int, Dict[str, Dict[str, Any]]]] = []
+    for group, group_rows in sorted(groups.items()):
+        summaries: Dict[str, Dict[str, Any]] = {}
+        for metric in chosen:
+            summary = aggregate_metric(group_rows, metric)
+            if summary is not None:
+                summaries[metric] = summary
+        aggregated.append((group, len(group_rows), summaries))
+    return aggregated
+
+
 def report_payload(
     records: Sequence[Mapping[str, Any]],
     group_fields: Sequence[str],
@@ -186,25 +218,16 @@ def report_payload(
 ) -> List[Dict[str, Any]]:
     """The machine-readable report: one dict per group, sorted by group.
 
-    Each entry carries the group-field values, the ``cells`` count, and one
-    :func:`aggregate_metric` summary per requested metric (absent metrics
+    Each entry carries the group-field values, the ``cells`` count, and the
+    :func:`report_groups` summary of each requested metric (absent metrics
     are omitted, not ``None``-padded).  This is the single shape behind
     ``repro report --json`` and the serve ``/report`` endpoint, so the two
-    surfaces can never drift.  ``rows`` passes pre-flattened rows through to
-    :func:`group_records`; records then need no ``analyses``.
+    surfaces can never drift.
     """
-    chosen = list(metrics) if metrics else list(DEFAULT_REPORT_METRICS)
-    groups = group_records(records, group_fields, rows=rows)
-    payload: List[Dict[str, Any]] = []
-    for group, rows in sorted(groups.items()):
-        entry: Dict[str, Any] = dict(zip(group_fields, group))
-        entry["cells"] = len(rows)
-        for metric in chosen:
-            summary = aggregate_metric(rows, metric)
-            if summary is not None:
-                entry[metric] = summary
-        payload.append(entry)
-    return payload
+    return [
+        {**dict(zip(group_fields, group)), "cells": cells, **summaries}
+        for group, cells, summaries in report_groups(records, group_fields, metrics, rows)
+    ]
 
 
 def discover_metrics(

@@ -37,7 +37,7 @@ from typing import (
 )
 
 from ..obs import metrics as _metrics
-from ..obs.collect import Collector, registry_baseline, registry_delta
+from ..obs.collect import registry_baseline, registry_delta
 from ..obs.metrics import merge_snapshots
 from ..obs.trace import dropped_trace_events, span, trace_events, tracing_enabled
 from ..scenarios.base import RegistryError, Scenario, ScenarioSpec, get_scenario
@@ -585,7 +585,6 @@ def run_sweep(
     resume: bool = False,
     retry_errors: bool = False,
     shard_size: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
     observer: Optional[Callable[[str, SweepCell, Dict[str, Any]], None]] = None,
 ) -> SweepOutcome:
     """Run a sweep, serving cells from ``store`` where possible.
@@ -605,11 +604,10 @@ def run_sweep(
     ``outcome.errors``, not recomputed — until ``retry_errors=True`` (which
     requires ``resume``) turns stored errors back into pending cells, and a
     plain non-resume sweep always retries them (the fresh record, ok or
-    error, supersedes the old one — newest per key wins).  ``cell_timeout``
-    is the fabric lease's per-cell budget: a worker holding a shard past
-    its lease is replaced and the shard re-served, and cells that fail on
-    too many distinct workers are quarantined as error records instead of
-    hanging the sweep.
+    error, supersedes the old one — newest per key wins).  On the fabric, a
+    worker holding a shard past its lease is replaced and the shard
+    re-served, and cells that fail on too many distinct workers are
+    quarantined as error records instead of hanging the sweep.
 
     Every sweep also assembles a telemetry record (``kind:
     "sweep_telemetry"``): phase timings, per-shard wall times, worker
@@ -617,7 +615,7 @@ def run_sweep(
     deltas every worker shipped back (see :mod:`repro.obs.collect`).  It is
     returned on ``outcome.telemetry`` and persisted into the store under
     :func:`sweep_telemetry_key` — error counts included, since the
-    ``fabric``/``worker_events`` diagnostics matter most on exactly the
+    ``fabric`` diagnostics matter most on exactly the
     sweeps that went wrong — where its non-hex key and non-``ok`` status
     keep it out of cache scans and reports.
 
@@ -635,9 +633,7 @@ def run_sweep(
         raise SweepError("resume requires a result store")
     if retry_errors and not resume:
         raise SweepError("retry_errors requires resume")
-    executor = resolve_executor(
-        backend, workers, shard_size=shard_size, cell_timeout=cell_timeout
-    )
+    executor = resolve_executor(backend, workers, shard_size=shard_size)
 
     started = time.perf_counter()
     parent_baseline = registry_baseline()
@@ -722,7 +718,7 @@ def run_sweep(
     outcome.duration_s = time.perf_counter() - started
 
     # -- telemetry: parent registry delta + worker payloads, persisted -----
-    collector: Collector = getattr(executor, "worker_telemetry", None) or Collector()
+    collector = executor.worker_telemetry
     merged = dict(collector.merged)
     merge_snapshots(merged, registry_delta(parent_baseline))
     execute_s = execute_span.duration_s
@@ -754,13 +750,11 @@ def run_sweep(
         "metrics": merged,
         "derived": _derived_metrics(merged),
     }
-    fabric = executor.fabric_summary() if hasattr(executor, "fabric_summary") else {}
+    fabric = executor.fabric_summary()
     if fabric:
-        # Robustness accounting on the fabric: worker replacements, retries,
-        # quarantines, per-worker liveness and lease history.
+        # Robustness accounting on the fabric: event counters (retries,
+        # replacements, quarantines), per-worker liveness and the event log.
         telemetry["fabric"] = fabric
-    if collector.worker_events:
-        telemetry["worker_events"] = list(collector.worker_events)
     if tracing_enabled():
         telemetry["trace"] = collector.trace + trace_events()[trace_mark:]
         # Worker drops plus this process's own since the sweep started.
@@ -769,8 +763,8 @@ def run_sweep(
         )
     outcome.telemetry = telemetry
     if store is not None:
-        # Persisted even (especially) for sweeps with errors: the fabric and
-        # worker_events diagnostics matter most when something went wrong,
-        # and the record carries the error count.
+        # Persisted even (especially) for sweeps with errors: the fabric
+        # diagnostics matter most when something went wrong, and the record
+        # carries the error count.
         store.put(telemetry)
     return outcome

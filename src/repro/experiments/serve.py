@@ -395,7 +395,6 @@ class SweepService:
                     store=self._open_store(),
                     workers=self.workers,
                     backend=executor,
-                    shard_size=self.shard_size,
                     observer=job.observe,
                 )
             with job.cond:

@@ -521,4 +521,26 @@ class TestRemoteSweepCli:
         telemetry = [
             r for r in chaos_store.records() if r.get("kind") == "sweep_telemetry"
         ]
-        assert telemetry and telemetry[0]["fabric"]["workers_replaced"] >= 1
+        assert telemetry and telemetry[0]["fabric"]["counters"]["workers_replaced"] >= 1
+
+    def test_chaos_sweep_counts_each_fabric_event_once(self, tmp_path, capsys):
+        """Every fabric counter of a chaos sweep equals its ``remote.<key>``
+        registry counter in the persisted telemetry, and the scheduler's
+        events are stored once, in ``fabric.events``."""
+        store_path = str(tmp_path / "chaos.jsonl")
+        assert cli_main(["sweep", "--scenario", "line-flood", "--adversary",
+                         "earliest,latest", "--seeds", "2", "--horizon", "4",
+                         "--backend", "fabric", "--workers", "2", "--shard-size",
+                         "1", "--chaos", "--store", store_path]) == 0
+        capsys.readouterr()
+        (telemetry,) = [
+            r for r in ResultStore(store_path).records()
+            if r.get("kind") == "sweep_telemetry"
+        ]
+        assert "worker_events" not in telemetry
+        fabric = telemetry["fabric"]
+        assert fabric["counters"]["workers_replaced"] >= 1
+        assert fabric["events"]
+        registry = telemetry["metrics"]["counters"]
+        for key, value in fabric["counters"].items():
+            assert registry.get(f"remote.{key}") == value, key

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import (
     DEFAULT_ANALYSES,
+    DEFAULT_REPORT_METRICS,
     TELEMETRY_KIND,
     ResultStore,
     SpecError,
@@ -15,6 +16,7 @@ from repro.experiments import (
     cell_key,
     cell_records,
     expand_grid,
+    format_aggregate,
     get_analysis,
     group_records,
     list_analyses,
@@ -512,6 +514,59 @@ class TestCli:
         assert cli_main(["worker", "--connect", "127.0.0.1:1", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{flag} must be >= " in err
+
+    @pytest.mark.parametrize("flag, value", [("--diagrams", "-1")])
+    def test_report_out_of_range_number(self, tmp_path, capsys, flag, value):
+        html_path = tmp_path / "report.html"
+        store_path = str(tmp_path / "results.jsonl")
+        args = ["report", "--store", store_path, "--html", str(html_path), flag, value]
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag} must be >= 0" in err
+        assert not html_path.exists()
+
+    def test_report_table_cells_format_the_json_entries(self, tmp_path, capsys):
+        """The text table is ``format_aggregate`` of the ``--json`` entries:
+        one aggregation behind every report surface."""
+        store_path = str(tmp_path / "results.jsonl")
+        assert cli_main(
+            ["sweep", "--scenario", "figure1,flooding", "--adversary",
+             "earliest,latest", "--seeds", "2", "--workers", "1",
+             "--store", store_path]
+        ) == 0
+        capsys.readouterr()
+        group = ["scenario", "adversary"]
+        report = ["report", "--store", store_path, "--group-by", ",".join(group)]
+        assert cli_main(report + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert cli_main(report) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, rule, rows = lines[0], lines[1], lines[2 : 2 + len(payload)]
+        spans, start = [], 0
+        for dashes in rule.split("  "):
+            spans.append((start, start + len(dashes)))
+            start += len(dashes) + 2
+        column = lambda line, i: line[spans[i][0] : spans[i][1]].rstrip()
+        names = [column(header, i) for i in range(len(spans))]
+        metrics = names[len(group) + 1 :]
+        assert names[: len(group) + 1] == group + ["cells"]
+        assert metrics == list(DEFAULT_REPORT_METRICS)
+        for entry, row in zip(payload, rows):
+            expected = [entry[field] for field in group] + [str(entry["cells"])]
+            expected += [format_aggregate(entry.get(metric)) for metric in metrics]
+            assert [column(row, i) for i in range(len(spans))] == expected
+
+    def test_report_table_group_field_named_like_a_column(self, tmp_path, capsys):
+        """Group values stay apart from the ``cells`` count and the metric
+        summaries even when a group field shares a column's name."""
+        store_path = str(tmp_path / "results.jsonl")
+        assert cli_main(["sweep", "--scenario", "figure1", "--adversary", "earliest",
+                         "--seeds", "1", "--workers", "1", "--store", store_path]) == 0
+        capsys.readouterr()
+        report = ["report", "--store", store_path, "--metric", "summary.sends"]
+        assert cli_main(report + ["--group-by", "cells,summary.sends"]) == 0
+        row = capsys.readouterr().out.splitlines()[2].split()
+        assert row == ["?", "?", "1", "2.00/2/2"]
 
     @pytest.mark.parametrize(
         "args, flag",

@@ -14,6 +14,7 @@ from repro.experiments.remote import (
     cell_from_wire,
     cell_to_wire,
 )
+from repro.obs.collect import registry_baseline, registry_delta
 
 
 def _pending(count=4):
@@ -308,6 +309,57 @@ class TestLocalFallback:
         ]
         assert scheduler.finished
         assert scheduler.take_local(60.0) is None
+
+
+def _remote_delta(baseline):
+    """The ``remote.*`` registry counters that moved since ``baseline``,
+    keyed like ``FabricScheduler.counts``."""
+    counters = registry_delta(baseline)["counters"]
+    return {
+        name[len("remote."):]: value
+        for name, value in counters.items()
+        if name.startswith("remote.") and value
+    }
+
+
+class TestOneCount:
+    """Each fabric event is counted once, into both the sweep's counters and
+    the process registry's ``remote.<key>``."""
+
+    def test_record_local_duplicate_moves_both_counts(self):
+        scheduler = _scheduler(_pending(1))
+        assignment = scheduler.try_assign("w0", 0.0)
+        (index, cell, _record), = _complete(scheduler, "w0", assignment, 1.0)
+        baseline = registry_baseline()
+        assert scheduler.record_local([(index, cell, {"status": "ok"})]) == []
+        assert scheduler.counts["duplicates_dropped"] == 1
+        assert _remote_delta(baseline) == {"duplicates_dropped": 1}
+
+    def test_rejoin_after_missed_heartbeats_moves_both_counts(self):
+        scheduler = _scheduler(_pending(1))
+        scheduler.hello("w0", 0.0)
+        scheduler.expire(6.0)  # silent past heartbeat_timeout_s: dead
+        baseline = registry_baseline()
+        scheduler.hello("w0", 7.0)
+        assert scheduler.counts["workers_rejoined"] == 1
+        assert _remote_delta(baseline) == {"workers_rejoined": 1}
+
+    def test_every_counter_matches_the_registry(self):
+        baseline = registry_baseline()
+        scheduler = _scheduler(_pending(3))
+        first = scheduler.try_assign("w0", 0.0)
+        scheduler.heartbeat("w0", 1.0)
+        _complete(scheduler, "w0", first, 2.0)
+        _complete(scheduler, "w1", first, 3.0)  # duplicate delivery
+        scheduler.try_assign("w0", 3.0)
+        scheduler.expire(20.0)  # w0 went silent: dead, its lease requeued
+        while (taken := scheduler.take_local(20.0)) is not None:
+            run, _ = taken
+            scheduler.record_local([(index, cell, {"status": "ok"}) for index, cell in run])
+        scheduler.count("local_fallback_shards")
+        assert scheduler.finished
+        assert scheduler.counts == _remote_delta(baseline)
+        assert {"workers_dead", "shard_retries", "duplicates_dropped"} <= set(scheduler.counts)
 
 
 class TestValidationAndSummary:
