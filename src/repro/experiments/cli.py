@@ -542,7 +542,10 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
     metrics = list(args.metric) if args.metric else list(DEFAULT_REPORT_METRICS)
 
     if args.json:
-        payload = report_payload(records, group_fields, metrics)
+        try:
+            payload = report_payload(records, group_fields, metrics)
+        except SpecError as exc:
+            raise CliError("--group-by" + str(exc)[len(exc.field):]) from None
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return 0
 

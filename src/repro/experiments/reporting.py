@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .runner import TELEMETRY_KIND
+from .runner import TELEMETRY_KIND, SpecError
 
 __all__ = [
     "DEFAULT_REPORT_METRICS",
@@ -223,10 +223,22 @@ def report_payload(
     are omitted, not ``None``-padded).  This is the single shape behind
     ``repro report --json`` and the serve ``/report`` endpoint, so the two
     surfaces can never drift.
+
+    A group field named ``cells`` or like a requested metric would share its
+    entry key with that value and lose it, so it raises :class:`SpecError`
+    (``field="group_by"``) naming the field.
     """
+    chosen = list(metrics) if metrics else list(DEFAULT_REPORT_METRICS)
+    for name in group_fields:
+        if name == "cells" or name in chosen:
+            clash = "the 'cells' count" if name == "cells" else "a requested metric"
+            raise SpecError(
+                f"group_by: field {name!r} is also {clash} of the JSON report",
+                field="group_by",
+            )
     return [
         {**dict(zip(group_fields, group)), "cells": cells, **summaries}
-        for group, cells, summaries in report_groups(records, group_fields, metrics, rows)
+        for group, cells, summaries in report_groups(records, group_fields, chosen, rows)
     ]
 
 

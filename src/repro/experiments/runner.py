@@ -7,7 +7,9 @@ record.  Execution is embarrassingly parallel and delegated to a pluggable
 backend (:mod:`repro.experiments.executors`): serial, or shards of
 structurally similar cells on the worker fabric; every cell
 derives its own deterministic seed from its identity, so results are
-independent of backend, worker count and execution order.
+independent of backend, worker count and execution order.  Cells whose run
+cannot read their seed (seed twins, :meth:`SweepCell.run_identity`) execute
+once per sweep.
 
 Cells are content-addressed (see :mod:`repro.experiments.store`): the result
 store is the source of truth for completed cells, so cells whose key is
@@ -55,10 +57,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulation.runs import Run
     from .executors import SweepExecutor
 
-#: The delivery adversaries a sweep can pit scenarios against.
-ADVERSARIES: Tuple[str, ...] = ("earliest", "latest", "random")
+#: The delivery adversaries a sweep can pit scenarios against: each one's
+#: factory, and whether it draws on the cell's seed.  :func:`make_delivery`
+#: passes the seed to seeded factories only, so the run of an unseeded
+#: adversary cannot depend on the seed, and :meth:`SweepCell.run_identity`
+#: reads the same flag to let seed twins share one execution.
+_ADVERSARY_TABLE: Dict[str, Tuple[Callable[..., DeliveryStrategy], bool]] = {
+    "earliest": (EarliestDelivery, False),
+    "latest": (LatestDelivery, False),
+    "random": (SeededRandomDelivery, True),
+}
+ADVERSARIES: Tuple[str, ...] = tuple(_ADVERSARY_TABLE)
 
 _C_CELLS_EXECUTED = _metrics.counter("sweep.cells_executed")
+_C_CELLS_SHARED = _metrics.counter("sweep.cells_shared")
 _C_CELLS_CACHED = _metrics.counter("sweep.cells_cached")
 _C_CELLS_ERRORS = _metrics.counter("sweep.cells_errors")
 _C_BASE_HITS = _metrics.counter("runner.base_cache_hits")
@@ -103,13 +115,13 @@ class SpecError(SweepError):
 
 def make_delivery(adversary: str, seed: int) -> DeliveryStrategy:
     """Instantiate a delivery adversary by name (seeded where applicable)."""
-    if adversary == "earliest":
-        return EarliestDelivery()
-    if adversary == "latest":
-        return LatestDelivery()
-    if adversary == "random":
-        return SeededRandomDelivery(seed=seed)
-    raise SweepError(f"unknown adversary {adversary!r}; known: {list(ADVERSARIES)}")
+    try:
+        factory, seeded = _ADVERSARY_TABLE[adversary]
+    except KeyError:
+        raise SweepError(
+            f"unknown adversary {adversary!r}; known: {list(ADVERSARIES)}"
+        ) from None
+    return factory(seed=seed) if seeded else factory()
 
 
 @dataclass(frozen=True)
@@ -160,6 +172,26 @@ class SweepCell:
         )
         return int.from_bytes(
             hashlib.sha256(material.encode("utf-8")).digest()[:4], "big"
+        )
+
+    def run_identity(self) -> Tuple[Any, ...]:
+        """What fixes this cell's run and analyses.
+
+        A run is fixed by the scenario instance (``params``), the delivery
+        adversary and the horizon; the seed enters it only through a seeded
+        adversary (a seed-declaring scenario already carries its seed in
+        ``params``).  Cells with equal identities are *seed twins*: their
+        records differ only in ``key``, ``seed`` and ``duration_s``, so a
+        sweep executes one of them (see :func:`run_sweep`).
+        """
+        _, seeded = _ADVERSARY_TABLE[self.adversary]
+        return (
+            self.scenario,
+            self.params,
+            self.adversary,
+            self.horizon,
+            self.analyses,
+            self.seed if seeded else None,
         )
 
     def describe(self) -> str:
@@ -481,8 +513,9 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     return record
 
 
-def error_record(cell: SweepCell, exc: BaseException) -> Dict[str, Any]:
-    """The ``status: "error"`` record of a failed cell.
+def error_record(cell: SweepCell, exc: Union[BaseException, str]) -> Dict[str, Any]:
+    """The ``status: "error"`` record of a failed cell (``exc`` may be the
+    error text of an earlier record, e.g. a seed twin's representative).
 
     Persisted as a quarantine marker: resumed sweeps skip the cell (until
     ``--retry-errors``), plain sweeps retry it and the fresh record
@@ -496,7 +529,7 @@ def error_record(cell: SweepCell, exc: BaseException) -> Dict[str, Any]:
         "adversary": cell.adversary,
         "seed": cell.seed,
         "status": "error",
-        "error": f"{type(exc).__name__}: {exc}",
+        "error": exc if isinstance(exc, str) else f"{type(exc).__name__}: {exc}",
     }
 
 
@@ -619,6 +652,15 @@ def run_sweep(
     sweeps that went wrong — where its non-hex key and non-``ok`` status
     keep it out of cache scans and reports.
 
+    Pending cells that are *seed twins* (equal
+    :meth:`SweepCell.run_identity`: an unseeded adversary such as
+    ``earliest``/``latest`` on a scenario without a ``seed`` parameter)
+    execute once.  The executor gets one representative per group; each
+    twin's record is the representative's with the twin's own ``key`` and
+    ``seed`` and a ``duration_s`` of the time spent on the twin itself, or
+    an error record with the same error text.  Twins count as executed,
+    and ``sweep.cells_shared`` counts them.
+
     ``observer``, if given, is called once per delivered cell with
     ``(phase, cell, record)`` where phase is ``"cached"``, ``"executed"``,
     or ``"error"`` — a structured progress feed (used by ``repro serve`` to
@@ -682,7 +724,16 @@ def run_sweep(
             else:
                 pending.append((index, cell))
 
-    def finish(index: int, cell: SweepCell, record: Dict[str, Any]) -> None:
+    # Seed twins (equal run identities) run once: the executor sees only the
+    # first cell of each group, and ``finish`` delivers the rest from its
+    # record.
+    groups: Dict[Tuple[Any, ...], List[Tuple[int, SweepCell]]] = {}
+    for index, cell in pending:
+        groups.setdefault(cell.run_identity(), []).append((index, cell))
+    representatives = [members[0] for members in groups.values()]
+    twins = {members[0][0]: members[1:] for members in groups.values() if len(members) > 1}
+
+    def deliver(index: int, cell: SweepCell, record: Dict[str, Any]) -> None:
         records[index] = record
         if record.get("status") == "ok":
             outcome.executed += 1
@@ -702,8 +753,24 @@ def run_sweep(
             notify(f"ERROR: {cell.describe()}: {record.get('error')}")
             watch("error", cell, record)
 
+    def finish(index: int, cell: SweepCell, record: Dict[str, Any]) -> None:
+        # The representative is persisted before its twins, so a crash in
+        # between leaves only twins pending, and a resume recomputes them.
+        deliver(index, cell, record)
+        for twin_index, twin in twins.get(index, ()):
+            started = time.perf_counter()
+            if record.get("status") == "ok":
+                shared = {**record, "key": twin.key(), "seed": twin.seed}
+                # The twin's own cost, never a copy: summed durations must
+                # stay the compute the sweep actually spent.
+                shared["duration_s"] = round(time.perf_counter() - started, 6)
+            else:
+                shared = error_record(twin, str(record.get("error")))
+            _C_CELLS_SHARED.value += 1
+            deliver(twin_index, twin, shared)
+
     with span("sweep.execute", backend=executor.name) as execute_span:
-        executor.execute(pending, finish)
+        executor.execute(representatives, finish)
 
     undelivered = [cell.describe() for index, cell in pending if records[index] is None]
     if undelivered:

@@ -308,3 +308,16 @@ def test_report_stays_identical_to_a_fresh_scan_across_store_mutations(tmp_path)
         assert cached["served_from_cache"] is True
     finally:
         svc.stop()
+
+
+@pytest.mark.parametrize("group_by, clash", [("cells,scenario", "cells"), ("scenario,summary.sends", "summary.sends")])
+def test_report_rejects_a_group_field_that_would_lose_its_value(service, group_by, clash):
+    """A group field named like the ``cells`` count or a requested metric is
+    a 400 naming the field, not a payload with the group value overwritten."""
+    assert _post(service, SPEC_A)
+    status, body = _get(service, f"/report?group_by={group_by}")
+    assert status == 400
+    assert body["field"] == "group_by"
+    assert repr(clash) in body["error"]
+    status, body = _get(service, "/report?group_by=scenario")
+    assert status == 200

@@ -6,6 +6,7 @@ from collections import OrderedDict
 
 import pytest
 
+from repro.experiments import SpecError
 from repro.experiments.cli import main as cli_main
 from repro.experiments.reporting import (
     aggregate_metric,
@@ -165,3 +166,56 @@ class TestReportCliSurfacesNonNumeric:
         assert entry["coordination.applicable"] == {"counts": {"True": 1}, "n": 1}
         assert entry["coordination.go_sender"] == {"counts": {"C": 1}, "n": 1}
         assert entry["summary.sends"]["n"] == 1  # numeric path unchanged
+
+
+class TestGroupFieldCollisions:
+    """A group field that shares its JSON key with the ``cells`` count or a
+    requested metric would lose its value in the merged entry; the JSON
+    surfaces reject it, naming the field, and the text table keeps it."""
+
+    RECORDS = TestGrouping.RECORDS
+
+    @pytest.mark.parametrize(
+        "group_fields, metrics, clash",
+        [
+            (["cells", "scenario"], None, "cells"),
+            (["scenario", "summary.sends"], None, "summary.sends"),
+            (["scenario", "coordination.margin"], ["coordination.margin"], "coordination.margin"),
+        ],
+    )
+    def test_payload_rejects_the_field(self, group_fields, metrics, clash):
+        with pytest.raises(SpecError) as excinfo:
+            report_payload(self.RECORDS, group_fields, metrics)
+        assert excinfo.value.field == "group_by"
+        assert repr(clash) in str(excinfo.value)
+
+    def test_field_named_like_an_unrequested_metric_is_kept(self):
+        payload = report_payload(self.RECORDS, ["scenario", "summary.sends"], ["coordination.margin"])
+        assert payload[0]["summary.sends"] == "?"
+        assert payload[0]["cells"] == 2
+
+    @pytest.fixture()
+    def store_path(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        assert cli_main(
+            ["sweep", "--scenario", "figure1", "--adversary", "earliest",
+             "--seeds", "1", "--workers", "1", "--store", path]
+        ) == 0
+        return path
+
+    def test_json_cli_exits_2_naming_the_field(self, store_path, capsys):
+        capsys.readouterr()
+        code = cli_main(
+            ["report", "--store", store_path, "--json", "--group-by", "cells,scenario"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --group-by: field 'cells'")
+
+    def test_text_table_keeps_the_field(self, store_path, capsys):
+        capsys.readouterr()
+        assert cli_main(["report", "--store", store_path, "--group-by", "cells,scenario"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:3] == ["cells", "scenario", "cells"]
+        assert lines[2].split()[:3] == ["?", "figure1", "1"]
