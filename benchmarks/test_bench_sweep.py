@@ -4,10 +4,10 @@ On sweeps of many small cells, one cell per shard pays the full dispatch
 overhead — a lease, a JSON round trip, a fresh intern pool, scenario
 construction — once per cell, which quickly dwarfs the cells' own
 simulation cost.  Derived shards (:func:`~repro.experiments.executors.\
-plan_shards`) amortise all of it: cells are grouped into per-worker shards
-of structurally identical instances (shard-key params), one lease runs a
-whole shard, the hash-consing intern pool is shared across the shard, and
-the base scenario is built once per parameter assignment.
+plan_shards`) amortise all of it: the sorted grid is cut into per-worker
+shards, one lease runs a whole shard, the hash-consing intern pool is shared
+across the shard, and the base scenario is built once per parameter
+assignment.
 
 This file gates the headline claim — on the fabric with 2 local workers,
 derived shards are >= 2x faster than ``shard_size=1`` on a many-small-cell

@@ -31,10 +31,10 @@ from .executors import (
     BACKENDS,
     SerialExecutor,
     SweepExecutor,
+    iter_shard,
     plan_shards,
     resolve_executor,
     run_shard_monitored,
-    shard_signature,
 )
 from .faults import (
     DEFAULT_CHAOS_PLAN,
@@ -78,7 +78,6 @@ from .runner import (
     decorate_scenario,
     error_record,
     execute_cell,
-    execute_cell_inline,
     expand_grid,
     make_cell,
     make_delivery,
@@ -157,7 +156,6 @@ __all__ = [
     "discover_metrics",
     "error_record",
     "execute_cell",
-    "execute_cell_inline",
     "expand_grid",
     "flatten_scalars",
     "format_aggregate",
@@ -165,6 +163,7 @@ __all__ = [
     "golden_payload",
     "group_records",
     "infer_roles",
+    "iter_shard",
     "knowledge_answers",
     "list_analyses",
     "main",
@@ -182,7 +181,6 @@ __all__ = [
     "run_shard_monitored",
     "run_sweep",
     "run_worker",
-    "shard_signature",
     "storage_fault",
     "sweep_telemetry_key",
     "write_corpus",

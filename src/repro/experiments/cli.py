@@ -534,10 +534,6 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
         print("\n" + action_table(run), file=out)
         return 0
 
-    if not records:
-        print(f"no records in {store.path}", file=out)
-        return 0
-
     group_fields = _csv(args.group_by)
     metrics = list(args.metric) if args.metric else list(DEFAULT_REPORT_METRICS)
 
@@ -547,6 +543,10 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
         except SpecError as exc:
             raise CliError("--group-by" + str(exc)[len(exc.field):]) from None
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        return 0
+
+    if not records:
+        print(f"no records in {store.path}", file=out)
         return 0
 
     header = group_fields + ["cells"] + metrics

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the sweep runner.
+"""Pluggable execution backends for the sweep runner, and the one shard loop.
 
 :func:`repro.experiments.runner.run_sweep` separates *what* to run (the cache
 scan against the result store) from *how* to run it (this module).  A backend
@@ -6,29 +6,30 @@ is a :class:`SweepExecutor`: it receives the pending ``(index, cell)`` pairs
 and must invoke the result handler exactly once per cell, in completion
 order, with either the cell's result record or an error record.
 
-Two backends ship:
+Every backend cuts the sorted pending cells into shards (:func:`plan_shards`)
+and runs each through the one shard loop, :func:`iter_shard`, which shares
+an intern pool and a base-scenario cache across the shard.  Two backends
+ship:
 
-* :class:`SerialExecutor` — in-process, cell by cell.  No process spawn
-  cost, so it is the right choice for single-worker runs and tiny sweeps,
-  and it is the reference every other backend must reproduce.
+* :class:`SerialExecutor` — in-process, shard by shard, handing over each
+  record as its cell finishes (a killed serial sweep loses at most the cell
+  in flight).  No process spawn cost: the choice for one worker.
 * :class:`~repro.experiments.remote.RemoteExecutor` (``fabric``) — the one
-  multi-process engine.  It groups cells into *shards* of structurally
-  similar cells (:func:`plan_shards`) and serves them over a socket to
-  worker processes: a local fleet it forks itself, or ``repro worker``
-  processes that connect from elsewhere.  Each worker runs a whole shard
-  through :func:`run_shard_monitored`: the hash-consing intern pool is
-  shared across the shard and the base scenario is built once per
-  parameter assignment, so on sweeps of many small cells dispatch is
-  amortised (see ``benchmarks/test_bench_sweep.py``).  Leases, heartbeats,
-  distinct-worker quarantine and worker replacement make it survive sick
-  workers (see :mod:`repro.experiments.remote`).  The trade-off is
-  checkpoint granularity: a worker reports a whole shard at once, so a
-  sweep killed mid-shard loses that shard's completed-but-unreported cells
-  (bounded by the shard size).
+  multi-process engine.  It serves shards over a socket to worker
+  processes: a local fleet it forks itself, or ``repro worker`` processes
+  that connect from elsewhere.  A worker runs a whole shard per lease
+  (:func:`run_shard_monitored`), so on sweeps of many small cells dispatch
+  is amortised (see ``benchmarks/test_bench_sweep.py``).  Leases,
+  heartbeats, distinct-worker quarantine and worker replacement make it
+  survive sick workers (see :mod:`repro.experiments.remote`).  The
+  trade-off is checkpoint granularity: a worker reports a whole shard at
+  once, so a sweep killed mid-shard loses that shard's
+  completed-but-unreported cells (bounded by the shard size).
 
-Every backend produces records identical to the serial one (modulo the
-``duration_s`` timing field): cells are seeded by their identity, interning
-never changes semantics, and shard grouping is a scheduling hint only.
+Every backend produces records identical to the per-cell reference
+:func:`~repro.experiments.runner.run_cell` (modulo the ``duration_s``
+timing field): cells are seeded by their identity, interning never changes
+semantics, and shard boundaries are a scheduling choice only.
 """
 
 from __future__ import annotations
@@ -36,13 +37,12 @@ from __future__ import annotations
 import math
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..obs.collect import Collector, registry_baseline, registry_delta
-from ..scenarios.base import RegistryError, get_scenario
-from ..simulation.interning import intern_pool
+from ..simulation.interning import InternPool, intern_pool
 from . import faults
-from .runner import SweepCell, SweepError, error_record, execute_cell_inline, run_cell
+from .runner import SweepCell, SweepError, error_record, execute_cell
 
 #: The backend names ``run_sweep``/the CLI accept.
 BACKENDS: Tuple[str, ...] = ("auto", "serial", "fabric")
@@ -118,35 +118,26 @@ class SweepExecutor(ABC):
 
 
 class SerialExecutor(SweepExecutor):
-    """Run cells one after another in the calling process."""
+    """Run the planned shards one after another in the calling process.
+
+    There is no fleet to balance, so the shards are as large as the pool
+    lifetime ceiling :data:`DEFAULT_MAX_SHARD_CELLS` allows.
+    """
 
     name = "serial"
 
     def execute(self, pending: Sequence[Tuple[int, SweepCell]], handle: ResultHandler) -> None:
-        for index, cell in pending:
-            try:
-                record = run_cell(cell)
-            except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                record = error_record(cell, exc)
-            handle(index, cell, record)
+        for shard in plan_shards(pending, workers=1, shard_size=DEFAULT_MAX_SHARD_CELLS):
+            records = iter_shard([cell for _, cell in shard])
+            for (index, cell), record in zip(shard, records):
+                handle(index, cell, record)
 
 
-def shard_signature(cell: SweepCell) -> Tuple[Any, ...]:
-    """The grouping key of a cell for sharded execution.
-
-    Scenario name, the sweep-level horizon override, and the values of every
-    parameter the scenario flags as a shard key.  Cells sharing a signature
-    build the same family of instances, so running them in one worker shard
-    maximises intern-pool and scenario-construction reuse.  Unregistered
-    scenarios (possible when decoding foreign stores) degrade to the name.
-    """
-    try:
-        spec = get_scenario(cell.scenario)
-    except RegistryError:
-        return (cell.scenario, cell.horizon)
-    params = cell.params_dict()
-    structural = tuple((name, params.get(name)) for name in spec.shard_params())
-    return (cell.scenario, cell.horizon) + structural
+def _shard_order(item: Tuple[int, SweepCell]) -> Tuple[Any, ...]:
+    cell = item[1]
+    # ``None`` (no override) sorts before every int horizon, never against one.
+    horizon = (cell.horizon is not None, cell.horizon or 0)
+    return (cell.scenario, horizon, cell.params, cell.seed, cell.adversary)
 
 
 def plan_shards(
@@ -154,72 +145,67 @@ def plan_shards(
     workers: int,
     shard_size: Optional[int] = None,
 ) -> List[List[Tuple[int, SweepCell]]]:
-    """Group pending cells into shards of structurally similar cells.
+    """Cut the sorted pending cells into shards.
 
-    Cells are bucketed by :func:`shard_signature`, each bucket is sorted so
-    cells with identical parameter assignments sit next to each other (grid
-    expansion iterates adversaries in the outer loop, which would otherwise
-    scatter the cells a shard's base-scenario cache could serve), and then
-    each bucket is chunked.  The chunk size is ``shard_size`` when given,
-    otherwise derived so the sweep yields roughly ``workers * 4`` shards
-    (bounded by :data:`DEFAULT_MAX_SHARD_CELLS`): enough shards for the
-    fleet to balance load, few enough that dispatch stays amortised.
+    Cells are sorted by ``(scenario, horizon override, params, seed,
+    adversary)``, so the cells of one parameter assignment sit next to each
+    other (a shard's base-scenario cache serves all but the first of them),
+    and the sorted list is cut into chunks.  The chunk size is ``shard_size``
+    when given, otherwise derived so the sweep yields roughly ``workers *
+    4`` shards (bounded by :data:`DEFAULT_MAX_SHARD_CELLS`): enough shards
+    for the fleet to balance load, few enough that dispatch stays amortised.
     """
     if shard_size is not None and shard_size < 1:
         raise SweepError(f"shard size must be >= 1, got {shard_size}")
-    buckets: Dict[Tuple[Any, ...], List[Tuple[int, SweepCell]]] = {}
-    for index, cell in pending:
-        buckets.setdefault(shard_signature(cell), []).append((index, cell))
-    for bucket in buckets.values():
-        bucket.sort(key=lambda item: (item[1].params, item[1].seed, item[1].adversary))
     if shard_size is None:
         target = math.ceil(len(pending) / max(1, workers * _SHARDS_PER_WORKER))
         shard_size = max(1, min(DEFAULT_MAX_SHARD_CELLS, target))
-    shards: List[List[Tuple[int, SweepCell]]] = []
-    for bucket in buckets.values():
-        for start in range(0, len(bucket), shard_size):
-            shards.append(bucket[start : start + shard_size])
-    return shards
+    ordered = sorted(pending, key=_shard_order)
+    return [ordered[start : start + shard_size] for start in range(0, len(ordered), shard_size)]
+
+
+def iter_shard(cells: Sequence[SweepCell]) -> Iterator[Dict[str, Any]]:
+    """The one loop that runs sweep cells: one record per cell, in order.
+
+    The serial backend, fabric workers (:func:`run_shard_monitored`) and the
+    coordinator's inline drain all run their shards through it.  A run is
+    fixed by its scenario instance and its delays, and only the delays
+    depend on the adversary, so the shard shares one intern pool and builds
+    the base scenario once per ``(scenario, params)``.  The pool is current
+    only while a cell runs, never while the caller handles a record.  A
+    failing cell yields an error record without poisoning the shard.
+
+    Fault-injection points ``worker.shard`` (once, before the first cell)
+    and ``worker.cell`` (per cell) fire here; they are no-ops outside
+    marked worker processes (see :mod:`repro.experiments.faults`).
+    """
+    faults.fire("worker.shard")
+    pool = InternPool()
+    base_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
+    for cell in cells:
+        # Outside the per-cell try: a DropConnection fault must sever the
+        # shard (the worker catches it at its connection loop), never
+        # masquerade as a cell error record.
+        faults.fire("worker.cell")
+        with intern_pool(pool):
+            try:
+                record, _ = execute_cell(cell, base_cache=base_cache)
+            except Exception as exc:  # noqa: BLE001 - per-cell isolation
+                record = error_record(cell, exc)
+        yield record
 
 
 def run_shard_monitored(cells: Sequence[SweepCell]) -> Dict[str, Any]:
-    """Execute one shard in the current process: the one shard loop.
+    """A fabric worker's payload for one shard: the records of
+    :func:`iter_shard`, the shard's registry delta and its wall time.
 
-    Fabric workers run every leased shard through it, and the coordinator's
-    inline drain runs its shards through it too.  The whole shard shares
-    one intern pool — every cell of the shard rides the same hash-consed
-    substrate, so structurally identical histories, messages, and causal
-    pasts are built once — and a per-shard scenario cache rebuilds the base
-    scenario only once per distinct ``(scenario, params)`` assignment (cells
-    differing only in adversary re-decorate it).  ``records`` holds one
-    record per cell, aligned with the input order; a failing cell yields an
-    error record without poisoning the rest of the shard.  The payload also
-    carries the shard's registry delta and wall time (the worker half of the
-    snapshot-delta protocol, :mod:`repro.obs.collect`); in-process callers
-    keep only the wall time, since their metrics already landed in their own
-    registry.  Trace events stay in the process buffer: a worker drains it
-    per result, the coordinator reports its own at the end of the sweep.
-
-    Fault-injection points ``worker.shard`` (once, up front) and
-    ``worker.cell`` (per cell) fire here; they are no-ops outside marked
-    worker processes (see :mod:`repro.experiments.faults`).
+    The delta is the worker half of the snapshot-delta protocol
+    (:mod:`repro.obs.collect`).  Trace events stay in the process buffer:
+    the worker drains it per result.
     """
     baseline = registry_baseline()
     started = time.perf_counter()
-    faults.fire("worker.shard")
-    records: List[Dict[str, Any]] = []
-    with intern_pool():
-        base_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
-        for cell in cells:
-            # Outside the per-cell try: a DropConnection fault must sever the
-            # shard (the worker catches it at its connection loop), never
-            # masquerade as a cell error record.
-            faults.fire("worker.cell")
-            try:
-                record, _ = execute_cell_inline(cell, base_cache=base_cache)
-            except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                record = error_record(cell, exc)
-            records.append(record)
+    records = list(iter_shard(cells))
     return {
         "records": records,
         "metrics": registry_delta(baseline),

@@ -24,8 +24,8 @@ Spec grammar (comma-separated rules)::
   remote worker's connection-facing points, where the worker catches it and
   reconnects).
 * ``POINT`` — a dotted site name.  The shipped points are ``worker.cell``
-  and ``worker.shard`` (fired by ``run_shard_monitored`` before the work)
-  and ``worker.result`` / ``worker.connect`` (fired by the worker
+  and ``worker.shard`` (fired by the shard loop ``iter_shard`` before the
+  work) and ``worker.result`` / ``worker.connect`` (fired by the worker
   runtime).  The *storage*
   points are ``store.append``, ``store.rotate``, and ``store.seal``,
   consulted by :class:`repro.experiments.store.ResultStore`.

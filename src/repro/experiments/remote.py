@@ -45,9 +45,9 @@ reads (shutdown unblocks them).  Cells travel as plain JSON
 (:func:`cell_to_wire` / :func:`cell_from_wire` — the same schema-stable
 identity that keys the result store, so a decoded cell's ``key()`` matches
 the coordinator's); the hash-consed run substrate is never shipped — each
-worker rebuilds scenarios locally inside its own intern pool
-(:func:`~repro.experiments.executors.run_shard_monitored`), per the
-interning invariants.  Worker metric deltas ride back on result messages,
+worker rebuilds scenarios locally inside its own intern pool (the shard
+loop, :func:`~repro.experiments.executors.iter_shard`), per the interning
+invariants.  Worker metric deltas ride back on result messages,
 so sweep telemetry stays backend-identical; so do the worker's trace events,
 drained from its buffer with the count of events the buffer cap dropped.
 
@@ -74,7 +74,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..obs import metrics as _metrics
 from ..obs.trace import drain_trace_events, dropped_trace_events
 from . import faults
-from .executors import ResultHandler, SweepExecutor, plan_shards, run_shard_monitored
+from .executors import ResultHandler, SweepExecutor, iter_shard, plan_shards, run_shard_monitored
 from .runner import SweepCell, SweepError, error_record
 
 __all__ = [
@@ -302,11 +302,18 @@ class FabricScheduler:
             self._event(now, "worker-rejoined", worker=worker_id)
         return worker
 
-    def hello(self, worker_id: str, now: float) -> int:
-        """Register (or revive) a worker; returns its connection generation."""
+    def hello(self, worker_id: str, now: float) -> Tuple[int, List[Tuple[int, SweepCell, int]]]:
+        """Register (or revive) a worker on a new connection.
+
+        Returns its connection generation and the cells newly quarantined.
+        A reconnecting worker lost what its old connection held, and that
+        connection's teardown may land after this hello (and be ignored):
+        its leases fail here, so they requeue at once instead of expiring,
+        which would evict the healthy worker and mark its cells overran.
+        """
         worker = self._touch(worker_id, now)
         worker.generation += 1
-        return worker.generation
+        return worker.generation, self._fail_leases(worker, now, reason="reconnect")
 
     def heartbeat(self, worker_id: str, now: float) -> None:
         self._touch(worker_id, now)
@@ -339,6 +346,11 @@ class FabricScheduler:
         worker.alive = False
         self.count("workers_dead")
         self._event(now, "worker-dead", worker=worker.worker_id, reason=reason)
+        return self._fail_leases(worker, now, reason)
+
+    def _fail_leases(
+        self, worker: _Worker, now: float, reason: str
+    ) -> List[Tuple[int, SweepCell, int]]:
         quarantined: List[Tuple[int, SweepCell, int]] = []
         for lease_id in list(worker.leases):
             lease = self._leases.get(lease_id)
@@ -910,17 +922,17 @@ class RemoteExecutor(SweepExecutor):
         self._emit_quarantined(quarantined, handle)
         if not shard:
             return True
-        payload = run_shard_monitored([cell for _, cell in shard])
+        started = time.perf_counter()
+        records = list(iter_shard([cell for _, cell in shard]))
+        wall_s = time.perf_counter() - started
         with self._lock:
             fresh = scheduler.record_local(
-                [(index, cell, record) for (index, cell), record in zip(shard, payload["records"])]
+                [(index, cell, record) for (index, cell), record in zip(shard, records)]
             )
             scheduler.count("local_fallback_shards")
         # In-process execution: metrics already landed in the parent
         # registry, so record shard wall-time metadata only.
-        self.worker_telemetry.add_shard(
-            len(shard), payload["wall_s"], in_process=True, local_fallback=True
-        )
+        self.worker_telemetry.add_shard(len(shard), wall_s, in_process=True, local_fallback=True)
         for index, cell, record in fresh:
             handle(index, cell, record)
         return True
@@ -983,7 +995,9 @@ class RemoteExecutor(SweepExecutor):
                 with self._lock:
                     if mtype == "hello":
                         worker_id = str(message.get("worker") or f"anon-{id(conn):x}")
-                        generation = scheduler.hello(worker_id, now)
+                        generation, quarantined = scheduler.hello(worker_id, now)
+                        if quarantined:
+                            deliveries.put(("quarantined", quarantined))
                     elif mtype == "heartbeat":
                         scheduler.heartbeat(str(message.get("worker")), now)
                     elif mtype == "ready":

@@ -4,12 +4,14 @@ A *sweep* is a grid of cells ``scenario x adversary x seed x params``; each
 cell builds a registered scenario, overrides its delivery adversary, runs the
 simulation, applies the requested analysis passes, and yields one JSON
 record.  Execution is embarrassingly parallel and delegated to a pluggable
-backend (:mod:`repro.experiments.executors`): serial, or shards of
-structurally similar cells on the worker fabric; every cell
-derives its own deterministic seed from its identity, so results are
-independent of backend, worker count and execution order.  Cells whose run
-cannot read their seed (seed twins, :meth:`SweepCell.run_identity`) execute
-once per sweep.
+backend (:mod:`repro.experiments.executors`), in process or on the worker
+fabric.  Every backend runs its cells through the one shard loop
+(:func:`~repro.experiments.executors.iter_shard`) over shards cut from the
+sorted grid; every cell derives its own deterministic seed from its
+identity, so results are independent of backend, worker count, shard
+boundaries and execution order.  :func:`run_cell` is the per-cell reference
+they all reproduce.  Cells whose run cannot read their seed (seed twins,
+:meth:`SweepCell.run_identity`) execute once per sweep.
 
 Cells are content-addressed (see :mod:`repro.experiments.store`): the result
 store is the source of truth for completed cells, so cells whose key is
@@ -411,9 +413,9 @@ def validate_spec(
 def build_base_scenario(cell: SweepCell) -> Scenario:
     """Instantiate the scenario of a cell *before* adversary decoration.
 
-    The base scenario depends only on ``(scenario, params)``, so shard
-    workers cache it across cells that differ only in adversary or horizon
-    override (see :func:`repro.experiments.executors.run_shard_monitored`).
+    The base scenario depends only on ``(scenario, params)``, so the shard
+    loop caches it across cells that differ only in adversary, seed or
+    horizon override (see :func:`repro.experiments.executors.iter_shard`).
     """
     return get_scenario(cell.scenario).build(**cell.params_dict())
 
@@ -450,16 +452,18 @@ def sanitize_non_finite(value: Any) -> Any:
     return value
 
 
-def execute_cell_inline(
+def execute_cell(
     cell: SweepCell,
     base_cache: Optional[Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Scenario]] = None,
 ) -> Tuple[Dict[str, Any], "Run"]:
-    """Execute one cell inside the *caller's* intern pool.
+    """Execute one cell in the *caller's* intern pool: its record and run.
 
-    ``base_cache`` (keyed by ``(scenario, params)``) lets shard workers
-    reuse the undecorated scenario across cells of the same parameter
-    assignment; the per-cell delivery adversary is always freshly built, so
-    reuse never leaks adversary state between cells.
+    Callers that also want the run itself (``repro run --viz``) use this to
+    avoid simulating twice.  ``base_cache`` (keyed by ``(scenario,
+    params)``) lets the shard loop (:func:`repro.experiments.executors.\
+iter_shard`) reuse the undecorated scenario across cells of the same
+    parameter assignment; the per-cell delivery adversary is always freshly
+    built, so reuse never leaks adversary state between cells.
     """
     started = time.perf_counter()
     with span("cell", scenario=cell.scenario, adversary=cell.adversary):
@@ -493,23 +497,15 @@ def execute_cell_inline(
     return record, run
 
 
-def execute_cell(cell: SweepCell) -> Tuple[Dict[str, Any], "Run"]:
-    """Execute one cell, returning both its result record and the run.
+def run_cell(cell: SweepCell) -> Dict[str, Any]:
+    """Execute one cell in a pool of its own and return its record.
 
-    Callers that also want the run itself (e.g. the CLI's ``--viz``) use this
-    to avoid simulating twice.  One intern pool per cell: every run/analysis
-    of the cell shares the hash-consed substrate (identity equality, cached
-    causal pasts), and dropping the pool afterwards bounds worker memory
-    across a long sweep.  Shard workers instead scope one pool around a whole
-    shard (:func:`repro.experiments.executors.run_shard_monitored`).
+    The per-cell reference every sweep backend must reproduce (apart from
+    ``duration_s``); dropping the pool afterwards leaves the caller's pool
+    untouched, so a long-lived process can recompute cells without growing.
     """
     with intern_pool():
-        return execute_cell_inline(cell)
-
-
-def run_cell(cell: SweepCell) -> Dict[str, Any]:
-    """Execute one cell and return its result record (pure; pool-safe)."""
-    record, _ = execute_cell(cell)
+        record, _ = execute_cell(cell)
     return record
 
 
@@ -625,12 +621,16 @@ def run_sweep(
     Cached cells (key present in the store) are returned without simulation
     unless ``force``.  The rest execute on the requested ``backend`` (a name
     from :data:`~repro.experiments.executors.BACKENDS` or a ready
-    :class:`~repro.experiments.executors.SweepExecutor`); freshly-computed
-    records are persisted as they arrive, so an interrupted sweep loses at
-    most the in-flight work: one cell on the serial backend, up to one
-    *shard* per worker on the fabric (workers report whole shards — coarser
-    checkpoint granularity is the price of the amortisation).  ``resume=True`` first recovers the store from a torn
-    tail (atomic rewrite) and then relies on the normal cache scan, so a
+    :class:`~repro.experiments.executors.SweepExecutor`).  Every backend runs
+    the one shard loop over shards cut from the sorted pending cells, so
+    cells sharing ``(scenario, params)`` share an intern pool and a base
+    scenario.  Freshly-computed records are persisted as they arrive, so an
+    interrupted sweep loses at most the in-flight work: one cell on the
+    serial backend, which hands over each record as its cell finishes, up
+    to one *shard* per worker on the fabric (workers report whole shards —
+    coarser checkpoint granularity is the price of the amortisation).
+    ``resume=True`` first recovers the store from a torn tail (atomic
+    rewrite) and then relies on the normal cache scan, so a
     killed sweep re-executes exactly the cells whose records never reached
     the store.  A cell that raises yields a ``status: "error"`` record that
     is persisted too (quarantined): a resumed sweep *skips* it — counted in

@@ -71,7 +71,7 @@ from .runner import (
     MAX_CELLS,
     SpecError,
     SweepCell,
-    execute_cell,
+    run_cell,
     run_sweep,
     validate_spec,
 )
@@ -452,7 +452,7 @@ class SweepService:
         _C_RECOMPUTES.value += 1
         self.log(f"result {key[:12]}: store miss for a known cell, recomputing")
         with span("serve.recompute", key=key[:12]):
-            fresh, _ = execute_cell(cell)
+            fresh = run_cell(cell)
         # Newest-per-key wins: the recompute supersedes; the view reads the
         # append back on its next refresh.
         self._open_store().put(fresh)

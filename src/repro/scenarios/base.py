@@ -123,13 +123,6 @@ class ParamSpec:
     hashed into cache keys and round-tripped through the result store.
     Rich parameters (delivery strategies, protocol objects) deliberately stay
     out of the spec; the sweep runner controls those through dedicated axes.
-
-    ``shard_key=True`` marks a parameter as *structural*: cells agreeing on
-    every shard-key parameter build the same family of instances (same
-    topology shape, same channel bounds), so co-scheduling them on one worker
-    lets the sharded sweep backend reuse the intern pool and scenario
-    construction across them.  The flag is a scheduling hint only — it never
-    affects results or cache keys.
     """
 
     name: str
@@ -137,7 +130,6 @@ class ParamSpec:
     default: Any
     description: str = ""
     choices: Optional[Tuple[Any, ...]] = None
-    shard_key: bool = False
 
     def __post_init__(self) -> None:
         if self.type not in _PARAM_TYPES:
@@ -195,8 +187,7 @@ class ParamSpec:
 
     def describe(self) -> str:
         extra = f", one of {list(self.choices)}" if self.choices else ""
-        shard = " (shard key)" if self.shard_key else ""
-        return f"{self.name}: {_PARAM_TYPES[self.type]} = {self.default!r}{extra}{shard}"
+        return f"{self.name}: {_PARAM_TYPES[self.type]} = {self.default!r}{extra}"
 
 
 @dataclass(frozen=True)
@@ -217,10 +208,6 @@ class ScenarioSpec:
 
     def has_param(self, name: str) -> bool:
         return self.param(name) is not None
-
-    def shard_params(self) -> Tuple[str, ...]:
-        """Names of the parameters flagged as shard keys (scheduling hints)."""
-        return tuple(spec.name for spec in self.params if spec.shard_key)
 
     def defaults(self) -> Dict[str, Any]:
         return {spec.name: spec.default for spec in self.params}

@@ -159,9 +159,9 @@ def workload_scenario(
 @register_scenario(
     "flooding",
     params=[
-        ParamSpec("num_processes", int, 4, "number of processes", shard_key=True),
+        ParamSpec("num_processes", int, 4, "number of processes"),
         ParamSpec("seed", int, 0, "seed for the network, schedule and delivery"),
-        ParamSpec("horizon", int, 15, "simulated horizon", shard_key=True),
+        ParamSpec("horizon", int, 15, "simulated horizon"),
         ParamSpec("edge_probability", float, 0.5, "extra-channel probability"),
         ParamSpec("num_inputs", int, 2, "number of external triggers"),
     ],
@@ -196,11 +196,11 @@ def flooding_scenario(
 @register_scenario(
     "random-workload",
     params=[
-        ParamSpec("num_processes", int, 5, "number of processes", shard_key=True),
+        ParamSpec("num_processes", int, 5, "number of processes"),
         ParamSpec("seed", int, 0, "seed for the network, roles and delivery"),
         ParamSpec("edge_probability", float, 0.5, "extra-channel probability"),
         ParamSpec("go_time", int, 2, "time at which C receives mu_go"),
-        ParamSpec("horizon", int, 25, "simulated horizon", shard_key=True),
+        ParamSpec("horizon", int, 25, "simulated horizon"),
     ],
     description="Seeded random network with random A/B/C coordination roles",
     tags=("random", "coordination"),

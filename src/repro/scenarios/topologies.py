@@ -27,16 +27,13 @@ from ..simulation.protocols import ProtocolAssignment
 from .base import ParamSpec, Scenario, register_scenario
 from .random_nets import random_external_schedule
 
-#: Parameters shared by every topology-flooding scenario.  The structural
-#: ones (channel bounds, horizon) are shard keys: cells agreeing on them
-#: build the same topology family, so the sharded sweep backend co-schedules
-#: them on one worker; the seed/trigger axes vary freely within a shard.
+#: Parameters shared by every topology-flooding scenario.
 _COMMON_PARAMS = (
-    ParamSpec("lower", int, 1, "uniform per-channel lower bound L", shard_key=True),
-    ParamSpec("upper", int, 2, "uniform per-channel upper bound U", shard_key=True),
+    ParamSpec("lower", int, 1, "uniform per-channel lower bound L"),
+    ParamSpec("upper", int, 2, "uniform per-channel upper bound U"),
     ParamSpec("seed", int, 0, "seed for trigger placement and delivery"),
     ParamSpec("num_inputs", int, 2, "number of external triggers"),
-    ParamSpec("horizon", int, 12, "simulated horizon", shard_key=True),
+    ParamSpec("horizon", int, 12, "simulated horizon"),
 )
 
 
@@ -66,7 +63,7 @@ def _flood_scenario(
 @register_scenario(
     "line-flood",
     params=[
-        ParamSpec("num_processes", int, 4, "processes on the line", shard_key=True),
+        ParamSpec("num_processes", int, 4, "processes on the line"),
         *_COMMON_PARAMS,
     ],
     description="FFIP flooding on a bidirectional line",
@@ -90,7 +87,7 @@ def line_flooding_scenario(
 @register_scenario(
     "ring-flood",
     params=[
-        ParamSpec("num_processes", int, 5, "processes on the ring", shard_key=True),
+        ParamSpec("num_processes", int, 5, "processes on the ring"),
         *_COMMON_PARAMS,
     ],
     description="FFIP flooding on a unidirectional ring",
@@ -114,7 +111,7 @@ def ring_flooding_scenario(
 @register_scenario(
     "star-flood",
     params=[
-        ParamSpec("num_leaves", int, 4, "leaves around the hub", shard_key=True),
+        ParamSpec("num_leaves", int, 4, "leaves around the hub"),
         *_COMMON_PARAMS,
     ],
     description="FFIP flooding on a hub-and-leaves star",
@@ -138,7 +135,7 @@ def star_flooding_scenario(
 @register_scenario(
     "complete-flood",
     params=[
-        ParamSpec("num_processes", int, 4, "processes in the clique", shard_key=True),
+        ParamSpec("num_processes", int, 4, "processes in the clique"),
         *_COMMON_PARAMS,
     ],
     description="FFIP flooding on a complete directed network",
@@ -162,8 +159,8 @@ def complete_flooding_scenario(
 @register_scenario(
     "grid-flood",
     params=[
-        ParamSpec("rows", int, 2, "grid rows", shard_key=True),
-        ParamSpec("cols", int, 3, "grid columns", shard_key=True),
+        ParamSpec("rows", int, 2, "grid rows"),
+        ParamSpec("cols", int, 3, "grid columns"),
         *_COMMON_PARAMS,
     ],
     description="FFIP flooding on a rows x cols mesh",
@@ -188,8 +185,8 @@ def grid_flooding_scenario(
 @register_scenario(
     "torus-flood",
     params=[
-        ParamSpec("rows", int, 3, "torus rows", shard_key=True),
-        ParamSpec("cols", int, 3, "torus columns", shard_key=True),
+        ParamSpec("rows", int, 3, "torus rows"),
+        ParamSpec("cols", int, 3, "torus columns"),
         *_COMMON_PARAMS,
     ],
     description="FFIP flooding on a rows x cols torus",
@@ -214,8 +211,8 @@ def torus_flooding_scenario(
 @register_scenario(
     "tree-flood",
     params=[
-        ParamSpec("branching", int, 2, "children per node", shard_key=True),
-        ParamSpec("depth", int, 2, "tree depth", shard_key=True),
+        ParamSpec("branching", int, 2, "children per node"),
+        ParamSpec("depth", int, 2, "tree depth"),
         *_COMMON_PARAMS,
     ],
     description="FFIP flooding on a rooted tree",

@@ -12,11 +12,12 @@ from repro.experiments import (
     make_cell,
     plan_shards,
     resolve_executor,
+    run_cell,
     run_shard_monitored,
     run_sweep,
-    shard_signature,
 )
 from repro.experiments.faults import FAULTS_ENV
+from repro.obs.collect import registry_baseline, registry_delta
 
 
 def _small_grid():
@@ -32,42 +33,33 @@ def _strip(record):
     return {k: v for k, v in record.items() if k != "duration_s"}
 
 
-class TestShardSignature:
-    def test_groups_by_structural_params_only(self):
-        same_family = [
-            make_cell("line-flood", adversary="earliest", seed=0),
-            make_cell("line-flood", adversary="random", seed=7),
-        ]
-        assert shard_signature(same_family[0]) == shard_signature(same_family[1])
-
-    def test_structural_param_splits_families(self):
-        small = make_cell("line-flood", overrides={"num_processes": 3})
-        large = make_cell("line-flood", overrides={"num_processes": 6})
-        assert shard_signature(small) != shard_signature(large)
-
-    def test_scenario_name_always_splits(self):
-        line = make_cell("line-flood")
-        ring = make_cell("ring-flood")
-        assert shard_signature(line) != shard_signature(ring)
-
-    def test_horizon_override_splits(self):
-        base = make_cell("line-flood")
-        overridden = make_cell("line-flood", horizon=4)
-        assert shard_signature(base) != shard_signature(overridden)
+def _shard_family(cell):
+    return (cell.scenario, cell.horizon, cell.params)
 
 
 class TestPlanShards:
-    def test_explicit_shard_size_chunks_each_family(self):
-        pending = list(enumerate(_small_grid()))
-        shards = plan_shards(pending, workers=2, shard_size=3)
-        assert all(len(shard) <= 3 for shard in shards)
-        # Every pending cell appears exactly once, index preserved.
-        flat = sorted(index for shard in shards for index, _ in shard)
-        assert flat == list(range(len(pending)))
-        # No shard mixes families.
-        for shard in shards:
-            signatures = {shard_signature(cell) for _, cell in shard}
-            assert len(signatures) == 1
+    def test_explicit_shard_size_chunks_the_sorted_grid(self):
+        """The plan_shards contract: every index exactly once, chunks of the
+        requested size, and the cells of one ``(scenario, horizon, params)``
+        family contiguous across the shard sequence -- with one cell that
+        overrides the horizon next to one that does not."""
+        cells = _small_grid() + [
+            make_cell("line-flood", overrides={"horizon": 5}, horizon=4),
+            make_cell("line-flood", overrides={"horizon": 5}, adversary="latest"),
+        ]
+        # Reversed, so the plan cannot just echo the grid order.
+        pending = list(reversed(list(enumerate(cells))))
+        for shard_size in (1, 3, 5, None):
+            shards = plan_shards(pending, workers=2, shard_size=shard_size)
+            flat = [item for shard in shards for item in shard]
+            assert sorted(index for index, _ in flat) == list(range(len(cells)))
+            assert all(cells[index] == cell for index, cell in flat)
+            if shard_size is not None:
+                assert all(len(shard) == shard_size for shard in shards[:-1])
+                assert 1 <= len(shards[-1]) <= shard_size
+            families = [_shard_family(cell) for _, cell in flat]
+            runs = [f for i, f in enumerate(families) if i == 0 or f != families[i - 1]]
+            assert len(runs) == len(set(families)), shard_size
 
     def test_derived_shard_size_yields_enough_shards(self):
         pending = list(enumerate(_small_grid()))
@@ -85,8 +77,6 @@ class TestPlanShards:
 class TestRunShard:
     def test_matches_per_cell_execution(self):
         cells = _small_grid()[:4]
-        from repro.experiments import run_cell
-
         sharded = [_strip(r) for r in run_shard_monitored(cells)["records"]]
         percell = [_strip(run_cell(cell)) for cell in cells]
         assert sharded == percell
@@ -100,6 +90,49 @@ class TestRunShard:
         assert records[0]["status"] == "error"
         assert "horizon" in records[0]["error"]
         assert records[1]["status"] == "ok"
+
+
+class TestSerialShardLoop:
+    """The serial backend runs planned shards through the one shard loop."""
+
+    def test_matches_per_cell_reference_and_reuses_base_scenarios(self):
+        cells = expand_grid(
+            ["line-flood", "ring-flood"],
+            adversaries=["earliest", "latest", "random"],
+            seeds=[0, 1],
+            param_grid={"num_processes": [3, 4], "horizon": [4]},
+        )
+        assert len(cells) == 24
+        baseline = registry_baseline()
+        outcome = run_sweep(cells, backend="serial")
+        counters = registry_delta(baseline)["counters"]
+        assert outcome.errors == 0
+        assert [_strip(r) for r in outcome.records] == [_strip(run_cell(c)) for c in cells]
+        assert counters.get("runner.base_cache_hits", 0) > 0
+
+    def test_each_cell_is_persisted_as_it_finishes(self, tmp_path):
+        """A sweep killed by its own progress callback on the k-th finished
+        cell leaves exactly k ok records: serial checkpoints per cell, not
+        per shard."""
+        from repro.experiments import ResultStore
+
+        class Killed(Exception):
+            pass
+
+        store = ResultStore(str(tmp_path / "s.jsonl"))
+        done = []
+
+        def progress(message):
+            if message.startswith("done:"):
+                done.append(message)
+                if len(done) == 3:
+                    raise Killed
+
+        with pytest.raises(Killed):
+            run_sweep(_small_grid(), store=store, backend="serial", progress=progress)
+        records = ResultStore(store.path).records()
+        assert len(records) == 3
+        assert all(record["status"] == "ok" for record in records)
 
 
 class TestResolveExecutor:
@@ -298,13 +331,13 @@ class TestPoolSupervision:
     def test_failed_shard_splits_to_isolate_poison_cell(self):
         """A shard that fails twice splits into single cells, so a poison
         cell costs one error record, not its whole shard.  The poison is a
-        cell that outruns every lease (a huge horizon); its shard-mate, with
-        the same shard signature, completes."""
+        cell that outruns every lease (a huge horizon); its shard-mate
+        completes."""
         import time as _time
 
         good = make_cell("figure1", adversary="earliest")
         poison = make_cell("figure1", overrides={"horizon": 10**7}, adversary="earliest")
-        assert shard_signature(good) == shard_signature(poison)
+        assert len(plan_shards([(0, good), (1, poison)], workers=2, shard_size=2)) == 1
         executor = self._fleet(shard_size=2, lease_base_s=0.4, lease_cell_s=0.1)
         seen = {}
         started = _time.perf_counter()

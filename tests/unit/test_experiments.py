@@ -477,6 +477,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["scenario"] == "figure1" and payload[0]["cells"] == 1
 
+    def test_report_json_over_a_store_without_cells(self, tmp_path, capsys):
+        """An empty store still reports JSON (an empty list), and a clashing
+        ``--group-by`` is still refused; the text table keeps its line."""
+        store_path = str(tmp_path / "results.jsonl")
+        assert cli_main(["report", "--store", store_path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+        assert cli_main(["report", "--store", store_path, "--json", "--group-by", "cells"]) == 2
+        assert "--group-by" in capsys.readouterr().err
+        assert cli_main(["report", "--store", store_path]) == 0
+        assert capsys.readouterr().out.startswith("no records in ")
+
     def test_sweep_rejects_zero_workers(self, capsys):
         assert cli_main(["sweep", "--workers", "0"]) == 2
         err = capsys.readouterr().err

@@ -178,8 +178,8 @@ class TestLiveness:
 
     def test_disconnect_generation_guard(self):
         scheduler = _scheduler()
-        first_gen = scheduler.hello("w0", 0.0)
-        second_gen = scheduler.hello("w0", 1.0)  # reconnect: new generation
+        first_gen, _ = scheduler.hello("w0", 0.0)
+        second_gen, _ = scheduler.hello("w0", 1.0)  # reconnect: new generation
         # The stale connection's teardown must not kill the live session.
         assert scheduler.disconnect("w0", first_gen, 2.0) == []
         assert scheduler.live_workers(2.0) == 1
@@ -188,7 +188,7 @@ class TestLiveness:
 
     def test_disconnect_after_finish_is_not_a_death(self):
         scheduler = _scheduler(_pending(2))
-        generation = scheduler.hello("w0", 0.0)
+        generation, _ = scheduler.hello("w0", 0.0)
         while not scheduler.finished:
             _complete(scheduler, "w0", scheduler.try_assign("w0", 1.0), 1.0)
         assert scheduler.disconnect("w0", generation, 2.0) == []
@@ -210,6 +210,29 @@ class TestLiveness:
         # A severed connection may reconnect: it is not an eviction.
         scheduler.disconnect("wedged", 1, 6.5)
         assert scheduler.evictions() == set()
+
+    def test_reconnect_before_teardown_requeues_the_lease_at_once(self):
+        """A worker drops its link and says hello again before the old
+        connection's teardown lands.  Its lease fails on the hello, so the
+        shard is re-served after the usual backoff instead of waiting out
+        the lease: no expiry, no eviction, and the cells still run inline."""
+        scheduler = _scheduler(_pending(1), backoff_base_s=0.1)
+        first_gen, _ = scheduler.hello("w0", 0.0)
+        assignment = scheduler.try_assign("w0", 0.0)
+        second_gen, quarantined = scheduler.hello("w0", 0.5)
+        assert second_gen == first_gen + 1 and quarantined == []
+        assert scheduler.disconnect("w0", first_gen, 0.6) == []  # stale teardown
+        assert scheduler.counts["shard_retries"] == 1
+        assert scheduler.events[-1]["reason"] == "reconnect"
+        retry = scheduler.try_assign("w0", 0.6)
+        assert retry is not None and _indices(retry) == _indices(assignment)
+        # The new lease's holder reconnects again: nothing waits for expire().
+        scheduler.hello("w0", 1.0)
+        assert scheduler.expire(1.0) == []
+        assert scheduler.evictions() == set()
+        assert "leases_expired" not in scheduler.counts
+        run, quarantined = scheduler.take_local(1.0)
+        assert [index for index, _ in run] == _indices(assignment) and quarantined == []
 
 
 class TestFailureEscalation:
@@ -280,7 +303,7 @@ class TestLocalFallback:
 
     def test_take_local_ignores_backoff(self):
         scheduler = _scheduler(_pending(1))
-        generation = scheduler.hello("w0", 0.0)
+        generation, _ = scheduler.hello("w0", 0.0)
         scheduler.try_assign("w0", 0.0)
         scheduler.disconnect("w0", generation, 1.0)  # requeued with backoff
         shard = scheduler.take_local(1.1)
