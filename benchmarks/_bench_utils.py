@@ -7,9 +7,11 @@ Every benchmark both *times* the relevant pipeline (via pytest-benchmark) and
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def report(experiment: str, paper_claim: str, measured: str) -> None:
@@ -42,3 +44,32 @@ def record(
     artifact.write_text(
         json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def interleaved_medians(
+    sides: Sequence[Callable[[], Tuple[float, Any]]], repetitions: int
+) -> List[Tuple[float, Any]]:
+    """Median seconds and last result of each side, timed fairly.
+
+    Each side returns ``(seconds, result)``.  Every side runs once untimed
+    to warm up, then the sides take turns for ``repetitions`` rounds with
+    the cyclic garbage collector off (as ``timeit`` does): a collection
+    traversing what earlier benchmarks left alive would otherwise land in
+    one side's run and measure the test process's heap, not the code.
+    """
+    for side in sides:
+        side()
+    times: List[List[float]] = [[] for _ in sides]
+    results: List[Any] = [None] * len(sides)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repetitions):
+            for index, side in enumerate(sides):
+                seconds, results[index] = side()
+                times[index].append(seconds)
+    finally:
+        if enabled:
+            gc.enable()
+    return [(statistics.median(spent), result) for spent, result in zip(times, results)]

@@ -12,12 +12,21 @@ A committed ``BENCH_remote.baseline.json`` gates the trajectory through
 hardware-robust ``serial_vs_remote_speedup`` ratio (how much of serial
 throughput the remote path retains), absolute timings warn only, and
 correctness (bit-identical records) is asserted here regardless.
+
+Both sides of the overhead ratio take 5-30 ms, so a single cold shot of
+each measured the test process as much as the fabric.  They are timed as
+interleaved repetitions after one untimed warm-up each, with the cyclic
+garbage collector off, and the gate is the ratio of their medians.  The
+ratio is then steady within one process but not between processes: inside
+a full ``pytest benchmarks/`` run the one-worker side (a thread of this
+process, whose every shard round trip waits for the interpreter lock)
+sometimes runs at half the speed it shows when this file runs alone.
 """
 
 import time
 from pathlib import Path
 
-from _bench_utils import record, report
+from _bench_utils import interleaved_medians, record, report
 
 from repro.experiments import expand_grid, run_sweep
 from repro.experiments.remote import RemoteExecutor, run_worker
@@ -65,21 +74,32 @@ def _remote_sweep(cells, **worker_kwargs):
     return elapsed, outcome
 
 
-def test_bench_remote_fabric_overhead():
-    """Coordination cost of a clean one-worker remote sweep vs serial."""
+#: Timed runs of each side of the overhead ratio, interleaved.
+REPETITIONS = 7
+
+
+def _serial_sweep(cells):
+    started = time.perf_counter()
+    outcome = run_sweep(cells, store=None, backend="serial")
+    return time.perf_counter() - started, outcome
+
+
+def _one_worker_sweep(cells):
     from repro.experiments import faults
 
-    cells = _grid()
-    started = time.perf_counter()
-    serial = run_sweep(cells, store=None, backend="serial")
-    serial_s = time.perf_counter() - started
-    assert serial.errors == 0
-
     try:
-        remote_s, remote = _remote_sweep(cells, worker_id="bench")
+        return _remote_sweep(cells, worker_id="bench")
     finally:
         faults.reset()  # run_worker marks this process; undo for later tests
-    assert remote.errors == 0
+
+
+def test_bench_remote_fabric_overhead():
+    """Coordination cost of a clean one-worker remote sweep vs serial."""
+    cells = _grid()
+    (serial_s, serial), (remote_s, remote) = interleaved_medians(
+        [lambda: _serial_sweep(cells), lambda: _one_worker_sweep(cells)], REPETITIONS
+    )
+    assert serial.errors == 0 and remote.errors == 0
     assert _strip(remote.records) == _strip(serial.records), (
         "remote backend changed sweep results"
     )

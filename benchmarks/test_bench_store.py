@@ -24,12 +24,10 @@ segments) are gated exactly — they drift only when the workload itself
 changes.
 """
 
-import gc
-import statistics
 import time
 from pathlib import Path
 
-from _bench_utils import record, report
+from _bench_utils import interleaved_medians, record, report
 
 from repro.experiments.store import ResultStore
 
@@ -74,28 +72,6 @@ def _probe_full_scan(path, keys):
     return time.perf_counter() - started, hits
 
 
-def _interleaved_medians(path, keys):
-    """Median time and hits of each probe, over interleaved repetitions
-    after one untimed warm-up of each, with the cyclic collector off."""
-    probes = (_probe, _probe_full_scan)
-    for probe in probes:
-        probe(path, keys)
-    times = {probe: [] for probe in probes}
-    hits = {}
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(REPETITIONS):
-            for probe in probes:
-                elapsed, hits[probe] = probe(path, keys)
-                times[probe].append(elapsed)
-    finally:
-        if enabled:
-            gc.enable()
-    return [(statistics.median(times[probe]), hits[probe]) for probe in probes]
-
-
 def test_bench_resume_probe_indexed_vs_full_scan(tmp_path):
     path = str(tmp_path / "results.jsonl")
     store = _build_store(path)
@@ -110,8 +86,9 @@ def test_bench_resume_probe_indexed_vs_full_scan(tmp_path):
     probe_keys = [_key(i) for i in range(0, RECORDS, RECORDS // PROBES)]
     probe_keys += [f"missing-{i}" for i in range(len(probe_keys) // 10)]
 
-    (indexed_s, indexed_hits), (fullscan_s, fullscan_hits) = _interleaved_medians(
-        path, probe_keys
+    (indexed_s, indexed_hits), (fullscan_s, fullscan_hits) = interleaved_medians(
+        [lambda: _probe(path, probe_keys), lambda: _probe_full_scan(path, probe_keys)],
+        REPETITIONS,
     )
     assert indexed_hits == fullscan_hits == PROBES
 

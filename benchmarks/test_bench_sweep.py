@@ -14,14 +14,19 @@ derived shards are >= 2x faster than ``shard_size=1`` on a many-small-cell
 sweep, with records identical to serial — and appends the measured
 trajectory to ``BENCH_sweep.json``, which CI diffs against the committed
 ``BENCH_sweep.baseline.json`` via ``scripts/check_bench_regression.py``.  A
-second workload records the warm resume-scan cost (every cell served from
-the store) so cache-path regressions show up in the trajectory too.
+second workload times the warm resume scan (every cell served from the
+store) against executing the same grid serially, so cache-path
+regressions show up in the trajectory too.  As a best-of-3 timing the
+scan's warn ceiling sat inside its own run-to-run spread, so both sides
+are timed as interleaved repetitions after one untimed warm-up each, with
+the cyclic garbage collector off, and the ratio of their medians
+(``resume_vs_execute_speedup``) is the gate.
 """
 
 import time
 from pathlib import Path
 
-from _bench_utils import record, report
+from _bench_utils import interleaved_medians, record, report
 
 from repro.experiments import ResultStore, expand_grid, run_sweep
 
@@ -115,6 +120,10 @@ def test_bench_derived_shards_vs_one_cell_shards():
     )
 
 
+#: Timed runs of each side of the resume ratio, interleaved.
+REPETITIONS = 5
+
+
 def test_bench_resume_scan(tmp_path):
     """Warm resume: the whole grid served from the store, zero execution."""
     cells = _grid()
@@ -122,19 +131,28 @@ def test_bench_resume_scan(tmp_path):
     cold = run_sweep(cells, store=store, workers=WORKERS, backend="fabric")
     assert cold.executed == len(cells) and cold.errors == 0
 
-    scan_s, warm = _best_of(
-        3,
-        lambda: run_sweep(
-            cells, store=ResultStore(store.path), workers=WORKERS, resume=True
-        ),
+    def timed(**kwargs):
+        started = time.perf_counter()
+        outcome = run_sweep(cells, **kwargs)
+        return time.perf_counter() - started, outcome
+
+    (scan_s, warm), (execute_s, executed) = interleaved_medians(
+        [
+            lambda: timed(store=ResultStore(store.path), workers=WORKERS, resume=True),
+            lambda: timed(store=None, workers=1, backend="serial"),
+        ],
+        REPETITIONS,
     )
     assert warm.cached == len(cells) and warm.executed == 0
+    assert executed.executed == len(cells)
 
+    speedup = execute_s / scan_s if scan_s > 0 else float("inf")
     report(
-        "Sweep resume: warm scan (100% cache hits)",
+        "Sweep resume: warm scan (100% cache hits) vs serial execution",
         "no measurement in the paper (harness cost)",
         f"{len(cells)} cells scanned in {scan_s * 1e3:.1f}ms "
-        f"({len(cells) / scan_s:.0f} cells/s)",
+        f"({len(cells) / scan_s:.0f} cells/s), executed serially in "
+        f"{execute_s * 1e3:.0f}ms ({speedup:.1f}x)",
     )
     record(
         ARTIFACT,
@@ -143,5 +161,7 @@ def test_bench_resume_scan(tmp_path):
             "cells": len(cells),
             "cached": warm.cached,
             "resume_scan_s": round(scan_s, 6),
+            "execute_s": round(execute_s, 6),
+            "resume_vs_execute_speedup": round(speedup, 1),
         },
     )

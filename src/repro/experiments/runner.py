@@ -619,7 +619,11 @@ def run_sweep(
     """Run a sweep, serving cells from ``store`` where possible.
 
     Cached cells (key present in the store) are returned without simulation
-    unless ``force``.  The rest execute on the requested ``backend`` (a name
+    unless ``force``.  The scan is the one probe of each cell, and it reads
+    ``store`` as it stands: a long-lived store that other writers share
+    must be brought current with :meth:`ResultStore.refresh` first, as
+    ``repro serve``'s job store is before every job.  The rest execute on
+    the requested ``backend`` (a name
     from :data:`~repro.experiments.executors.BACKENDS` or a ready
     :class:`~repro.experiments.executors.SweepExecutor`).  Every backend runs
     the one shard loop over shards cut from the sorted pending cells, so

@@ -14,9 +14,10 @@ bodies) — no new dependencies.  Endpoints:
 ========================  ====================================================
 ``POST /sweeps``          check a spec's JSON shapes (:func:`validate_spec`),
                           then its grid with the check every CLI entry
-                          point shares; return a sweep id; cells already
-                          in the store are instant cache hits, cold cells
-                          execute through the scheduler's dedup path
+                          point shares; return a sweep id; the job's scan
+                          probes each cell once: cells already in the
+                          store are cache hits, cold cells execute
+                          through the scheduler's dedup path
 ``GET /sweeps/{id}``      progress snapshot (counts + lease-based fabric
                           state while running)
 ``GET /sweeps/{id}/events``  chunked newline-JSON progress stream
@@ -45,8 +46,11 @@ Invariants this module rides on (and must preserve):
   delta, and rotation, compaction, recovery or repair force a full reload.
   Reads therefore ride the store invariants (advisory index, tail-wins
   lookups, flock'd appends) and ``/results`` stays correct with the index
-  deleted, stale, corrupt, or unwritable.  The view never writes: sweep
-  jobs and recomputes append through writer stores of their own.
+  deleted, stale, corrupt, or unwritable.  The view never writes.  Sweep
+  jobs append through one long-lived *job store*, owned by the runner
+  thread and refreshed the same way before each job, so a job costs what
+  its posted cells cost, not what the store holds.  ``/results``
+  recomputes run on HTTP threads and append through a store of their own.
 * **Telemetry is free.**  Every request increments ``serve.*`` counters and
   runs under :func:`~repro.obs.trace.span`, so ``/metrics`` self-reports the
   service's own traffic.
@@ -137,7 +141,12 @@ class SweepJob:
             self.cond.notify_all()
 
     def observe(self, phase: str, cell: SweepCell, record: Dict[str, Any]) -> None:
-        """The :func:`run_sweep` observer: fold one delivered cell in."""
+        """The :func:`run_sweep` observer: fold one delivered cell in.
+
+        The job's scan is the only probe of a posted cell, so the serve
+        cache counters are counted here, once per delivered cell.
+        """
+        (_C_CACHE_HIT if phase == "cached" else _C_CACHE_MISS).value += 1
         with self.cond:
             if phase == "cached":
                 self.counts["cached"] += 1
@@ -261,6 +270,12 @@ class SweepService:
     exactly-once dedup path.  Sequential job execution makes overlapping
     grids naturally exactly-once: the second job's cache scan sees the
     first job's records.
+
+    Three store objects share the one store file: the read view (every
+    ``/results`` and ``/report``; it never writes), the runner thread's
+    job store (every sweep job's scan and appends; loaded on the first
+    job, refreshed by delta before each later one), and a writer per
+    ``/results`` recompute.
     """
 
     def __init__(
@@ -288,6 +303,8 @@ class SweepService:
         self._digests: Dict[str, List[str]] = {}  # grid digest -> job ids
         self._known_cells: Dict[str, SweepCell] = {}
         self._view = _StoreView(self._open_store())
+        # Used only by the runner thread; loaded by its first refresh.
+        self._job_store = self._open_store()
         self._queue: "queue.Queue[Optional[SweepJob]]" = queue.Queue()
         self._runner: Optional[threading.Thread] = None
         self._server: Optional[ThreadingHTTPServer] = None
@@ -297,7 +314,8 @@ class SweepService:
     # -- store views -------------------------------------------------------
 
     def _open_store(self) -> ResultStore:
-        """A new store object: the read view, or a writer of its own."""
+        """A new store object: the read view, the job store, or a
+        recompute's writer."""
         return ResultStore(self.store_path, rotate_bytes=self.rotate_bytes)
 
     # -- sweep lifecycle ---------------------------------------------------
@@ -308,6 +326,8 @@ class SweepService:
         Re-POSTing a grid that is queued or running returns the existing
         job (idempotent); re-POSTing a finished grid creates a fresh job
         whose scan serves everything still in the store as cache hits.
+        Submitting reads no store: the job's scan is the one probe of each
+        cell, and its counts are the job snapshot's.
         """
         cells, normalized = validate_spec(spec, max_cells=self.max_cells)
         digest = hashlib.sha256(
@@ -325,21 +345,10 @@ class SweepService:
             self._digests.setdefault(digest, []).append(job_id)
             for cell in cells:
                 self._known_cells.setdefault(cell.key(), cell)
-        # Instant cache accounting: probe the store once per cell so the
-        # POST response already says how much of the grid is hot.
-        hot = 0
-        with self._view.lock:
-            store = self._view.refresh()
-            for cell in cells:
-                record = store.get(cell.key())
-                if record is not None and is_cell(record):
-                    hot += 1
-        _C_CACHE_HIT.value += hot
-        _C_CACHE_MISS.value += len(cells) - hot
         _C_SWEEPS_POSTED.value += 1
-        job.emit({"event": "accepted", "cells": len(cells), "hot": hot})
+        job.emit({"event": "accepted", "cells": len(cells)})
         self._queue.put(job)
-        self.log(f"sweep {job.id}: accepted ({len(cells)} cells, {hot} hot)")
+        self.log(f"sweep {job.id}: accepted ({len(cells)} cells)")
         return job, True
 
     def job(self, job_id: str) -> Optional[SweepJob]:
@@ -368,6 +377,14 @@ class SweepService:
         )
 
     def _run_job(self, job: SweepJob) -> None:
+        """Run one job on the runner thread through the one job store.
+
+        The job store is refreshed before the scan (a tail delta, or a full
+        reload after a rotation, compaction, recovery or repair), so the
+        scan sees every record on disk: after a refresh ``get`` is exact
+        even though this store also appends.  A failed job drops the job
+        store, and the next job loads a fresh one.
+        """
         started = time.perf_counter()
         with job.cond:
             job.status = "running"
@@ -389,10 +406,12 @@ class SweepService:
                 f"{executor.address[0]}:{executor.address[1]}"
             )
         try:
+            store = self._job_store
             with span("serve.sweep", sweep=job.id):
+                store.refresh()
                 outcome = run_sweep(
                     job.cells,
-                    store=self._open_store(),
+                    store=store,
                     workers=self.workers,
                     backend=executor,
                     observer=job.observe,
@@ -417,6 +436,7 @@ class SweepService:
             )
             self.log(f"sweep {job.id}: {outcome.describe()}")
         except Exception as exc:  # noqa: BLE001 - a job must never kill the hub
+            self._job_store = self._open_store()
             with job.cond:
                 job.status = "failed"
                 job.error = f"{type(exc).__name__}: {exc}"

@@ -71,10 +71,10 @@ by other coordinators, so a persisted index always covers every segment it
 declares — a reader never loads a "fresh" index that silently misses
 another writer's records.  Anything that still goes stale (a racing index
 write losing to an older one) fails the freshness check and is rebuilt.
-A long-lived reader (``repro serve``) keeps one view current with
-:meth:`ResultStore.refresh`: appends reach it as a tail delta, and every
-rewrite (rotation, compaction, recovery, repair) changes a file identity it
-checks, which forces a full reload.
+A long-lived store (``repro serve``'s read view and its job store) is kept
+current with :meth:`ResultStore.refresh`: appends reach it as a tail delta,
+and every rewrite (rotation, compaction, recovery, repair) changes a file
+identity it checks, which forces a full reload.
 
 Storage fault injection (``repro sweep --chaos`` with storage kinds, see
 :mod:`repro.experiments.faults`) is consulted cooperatively at three
@@ -395,9 +395,16 @@ class ResultStore:
         or ``None`` after a full reload, which happens when a segment's
         name, size, mtime or inode changed, the tail has a different inode
         (rotation, compaction and recovery replace it), or the tail is
-        smaller than the bytes consumed (an in-place rewrite).  A view that
-        is refreshed this way must not also :meth:`put`: its own appends
-        would enter the view out of file order.
+        smaller than the bytes consumed (an in-place rewrite).
+
+        A store may both refresh and :meth:`put`.  Its own appends lie past
+        the consumed bytes too, so the next refresh reads them again with
+        every other writer's, and it applies the delta in file order: the
+        last line per key wins.  After a refresh, ``get`` and ``in`` are
+        therefore exact, equal to a fresh ``ResultStore(path)``'s.  Only the
+        order of :meth:`records` and :meth:`iter_records` may differ from
+        file order, since a key this store put keeps the place its put gave
+        it.  A view whose reports must match a fresh scan must never put.
         """
         if not self._loaded:
             self._ensure_loaded()

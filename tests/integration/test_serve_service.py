@@ -321,3 +321,109 @@ def test_report_rejects_a_group_field_that_would_lose_its_value(service, group_b
     assert repr(clash) in body["error"]
     status, body = _get(service, "/report?group_by=scenario")
     assert status == 200
+
+
+# ---------------------------------------------------------------------------
+# The one job store: loaded once, refreshed before each job, one probe per
+# posted cell.
+# ---------------------------------------------------------------------------
+
+
+def _lookups():
+    return obs_metrics.registry().snapshot()["counters"].get("store.lookups", 0)
+
+
+def _cells(spec):
+    return expand_grid(
+        spec["scenarios"],
+        adversaries=spec["adversaries"],
+        seeds=spec["seeds"],
+        horizon=spec["horizon"],
+    )
+
+
+def test_reposts_load_the_job_store_once_and_probe_each_cell_once(service, monkeypatch):
+    loads = []
+    real_load = ResultStore._ensure_loaded
+
+    def counting_load(store):
+        if not store._loaded:
+            loads.append(store)
+        real_load(store)
+
+    # A tail that exists before the first job: the job store's first load
+    # sees it, so no later refresh finds a new tail file to reload.
+    ResultStore(service.store_path).put({"key": "unrelated", "status": "ok"})
+    monkeypatch.setattr(ResultStore, "_ensure_loaded", counting_load)
+    cells = len(_cells(SPEC_A))
+    for attempt in range(4):
+        before = _lookups()
+        body = _post(service, SPEC_A)
+        final = _wait_done(service, body["sweep"])
+        assert final["status"] == "done"
+        # The job's scan is the only probe of each posted cell.
+        assert _lookups() - before == cells
+        if attempt:
+            assert (final["cells"]["cached"], final["cells"]["executed"]) == (cells, 0)
+    # One load for four jobs; submitting reads no store at all.
+    assert loads == [service._job_store]
+
+
+def test_an_external_sweep_between_jobs_is_cached_by_the_next_job(service):
+    first = _post(service, SPEC_A)
+    _wait_done(service, first["sweep"])  # the job store is loaded
+    outcome = run_sweep(_cells(SPEC_B), store=ResultStore(service.store_path), backend="serial")
+    assert (outcome.executed, outcome.cached) == (2, 2)  # `random` is new
+    body = _post(service, SPEC_B)
+    final = _wait_done(service, body["sweep"])
+    assert (final["cells"]["cached"], final["cells"]["executed"]) == (4, 0)
+
+
+def _flip_sealed_record(path, key):
+    """Flip one byte inside the sealed record of ``key``, in place."""
+    segments = path + ".segments"
+    needle = f'"key":"{key}"'.encode("utf-8")
+    for name in sorted(os.listdir(segments)):
+        with open(os.path.join(segments, name), "r+b") as handle:
+            raw = bytearray(handle.read())
+            at = raw.find(needle)
+            if at < 0:
+                continue
+            raw[at + len(needle) + 20] ^= 0xFF
+            handle.seek(0)
+            handle.write(bytes(raw))
+            return
+    raise AssertionError(f"{key} is not sealed")
+
+
+@pytest.mark.parametrize("change", ["compact", "flip"])
+def test_the_next_job_is_exact_after_an_external_compaction_or_damage(tmp_path, change):
+    path = str(tmp_path / "results.jsonl")
+    svc = SweepService(path, rotate_bytes=4096)
+    host, port = svc.start("127.0.0.1", 0)
+    svc.base = f"http://{host}:{port}"
+    try:
+        for spec in (SPEC_A, SPEC_B):
+            _wait_done(svc, _post(svc, spec)["sweep"])
+        keys = sorted(cell.key() for cell in _cells(SPEC_A))
+        originals = {key: _strip(ResultStore(path).get(key)) for key in keys}
+        victim = keys[0]
+        ResultStore(path, rotate_bytes=4096).rotate(force=True)  # seal every cell
+        if change == "compact":
+            external = ResultStore(path, rotate_bytes=4096)
+            external.put(ResultStore(path).get(keys[1]))  # a duplicate to drop
+            assert external.compact() >= 1
+            expected = (4, 0)
+        else:
+            _flip_sealed_record(path, victim)
+            expected = (3, 1)  # the damaged cell recomputes
+
+        final = _wait_done(svc, _post(svc, SPEC_A)["sweep"])
+        assert (final["cells"]["cached"], final["cells"]["executed"]) == expected
+        for key in keys:
+            status, record = _get(svc, f"/results/{key}")
+            assert status == 200
+            assert _strip(record) == originals[key]
+            assert _strip(ResultStore(path).get(key)) == originals[key]
+    finally:
+        svc.stop()

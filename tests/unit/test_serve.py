@@ -530,6 +530,20 @@ class TestHttpSurface:
         assert final["cells"]["executed"] == 0
         assert final["cells"]["cached"] == 2
 
+    def test_cache_counters_count_each_delivered_cell_once(self, service):
+        def counters():
+            _, snapshot = _get(service, "/metrics")
+            return [snapshot["counters"].get(f"serve.cache_{name}", 0) for name in ("hit", "miss")]
+
+        before = counters()
+        _, first = _post(service, "/sweeps", SMALL_SPEC)
+        _wait_done(service, first["sweep"])
+        middle = counters()
+        assert [b - a for a, b in zip(before, middle)] == [0, 2]
+        _, second = _post(service, "/sweeps", SMALL_SPEC)
+        _wait_done(service, second["sweep"])
+        assert [b - a for a, b in zip(middle, counters())] == [2, 0]
+
     def test_events_stream_is_newline_json_to_terminal(self, service):
         _, body = _post(service, "/sweeps", SMALL_SPEC)
         with urllib.request.urlopen(
@@ -538,7 +552,7 @@ class TestHttpSurface:
             assert response.headers["Content-Type"] == "application/x-ndjson"
             events = [json.loads(line) for line in response.read().splitlines()]
         kinds = [event["event"] for event in events]
-        assert kinds[0] == "accepted"
+        assert events[0] == {"event": "accepted", "cells": 2}
         assert kinds[-1] == "end"
         assert "complete" in kinds
         assert kinds.count("executed") + kinds.count("cached") == 2

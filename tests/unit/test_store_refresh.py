@@ -161,3 +161,89 @@ def test_deleted_index_still_gives_correct_reads(segmented):
     assert segmented.refresh() is None
     assert all(segmented.get(f"k{i}") is not None for i in range(40))
     assert segmented.records() == _fresh(segmented.path)
+
+
+def test_a_store_that_puts_and_refreshes_reads_what_a_fresh_open_reads(path):
+    """The rule for a store that both appends and refreshes (``repro
+    serve``'s job store): after every refresh, ``get`` and ``in`` equal a
+    fresh open's, whatever a second writer did since."""
+    from repro.experiments import faults
+
+    mine = ResultStore(path, rotate_bytes=1024)
+    keys = set()
+
+    def mine_put(key, value):
+        mine.put(_record(key, value))
+        keys.add(key)
+
+    def other_put(key, value):
+        ResultStore(path, rotate_bytes=None).put(_record(key, value))
+        keys.add(key)
+
+    def check():
+        mine.refresh()
+        fresh = ResultStore(path, rotate_bytes=None)
+        for key in sorted(keys):
+            assert mine.get(key) == fresh.get(key), key
+            assert (key in mine) == (key in fresh), key
+
+    seed = ResultStore(path, rotate_bytes=1024)
+    for i in range(30):
+        seed.put(_record(f"k{i}", i))
+        keys.add(f"k{i}")
+    assert seed.info()["segments"]
+    check()
+
+    # An older and a newer record of one key around this store's own put:
+    # the file's last line wins, not the put this store remembers.
+    mine_put("m1", 1)
+    other_put("dup", 1)
+    mine_put("dup", 5)
+    other_put("dup", 2)
+    check()
+    assert mine.get("dup")["value"] == 2
+    mine_put("dup", 6)
+    check()
+    assert mine.get("dup")["value"] == 6
+
+    mine_put("r1", 1)
+    other_put("r0", 0)
+    assert ResultStore(path, rotate_bytes=1024).rotate(force=True) is not None
+    mine_put("r2", 2)
+    check()
+
+    other_put("k3", 33)
+    mine_put("c1", 1)
+    assert ResultStore(path, rotate_bytes=1024).compact() >= 1
+    check()
+
+    # This store's own rotation, with another writer's append in its tail.
+    sealed = len(os.listdir(mine.segments_dir))
+    other_put("k4", 44)
+    for i in range(15):
+        mine_put(f"own{i}", i)
+    assert len(os.listdir(mine.segments_dir)) > sealed
+    check()
+
+    segment = os.path.join(mine.segments_dir, sorted(os.listdir(mine.segments_dir))[0])
+    with open(segment, "r+b") as handle:  # damage one sealed record
+        raw = bytearray(handle.read())
+        raw[raw.index(b'"key":"k1",') + 8] ^= 0xFF
+        handle.seek(0)
+        handle.write(bytes(raw))
+    mine_put("v1", 1)
+    assert ResultStore(path, rotate_bytes=1024).verify(repair=True)["corrupt_dropped"] == 1
+    check()
+    assert mine.get("k1") is None
+
+    try:
+        faults.mark_storage("torn-write@store.append:1")
+        other_put("torn", 1)  # a crash mid-append: most of the line lands
+    finally:
+        faults.reset()
+    check()
+    mine_put("after", 2)
+    other_put("k2", 22)
+    check()
+    assert mine.get("torn") is None
+    assert mine.get("after")["value"] == 2 and mine.get("k2")["value"] == 22
