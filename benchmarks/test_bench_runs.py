@@ -16,6 +16,11 @@ run both on identical grid/torus/tree flooding workloads, and gate a >= 5x
 speedup on the combined build-path (history extension) + equality substrate
 cost.  Every workload's numbers are also appended to ``BENCH_runs.json`` so
 CI can diff the trajectory against the committed baseline.
+
+The ``enumerate-*`` workloads count the runs of the exhaustive enumerator
+(the simulator's step plus a product over delivery times).  The count is an
+exact counter in the baseline, so any change to the enumerated set fails the
+regression check; the time only warns.
 """
 
 import time
@@ -27,6 +32,7 @@ from _bench_utils import record, report
 
 from repro.core.causality import boundary_nodes, past_nodes
 from repro.scenarios import get_scenario
+from repro.simulation import enumerate_runs
 from repro.simulation.interning import intern_pool
 from repro.simulation.messages import History, MessageReceipt
 
@@ -294,3 +300,37 @@ def test_bench_run_equality_regression():
         f"Run == in {elapsed * 1e3:.2f}ms at horizon {HORIZON}",
     )
     assert elapsed < 0.5, f"Run == took {elapsed:.3f}s"
+
+
+#: (workload, scenario, build parameters, horizon; ``None`` keeps the scenario's).
+ENUMERATE_WORKLOADS = [
+    ("enumerate-line-flood-3", "line-flood", {"num_processes": 3}, 9),
+    ("enumerate-figure4-forks2", "figure4", {"num_forks": 2}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "name,scenario,params,horizon", ENUMERATE_WORKLOADS, ids=[w[0] for w in ENUMERATE_WORKLOADS]
+)
+def test_bench_enumerate(name, scenario, params, horizon):
+    """The enumerated set's size is gated exactly; the time it takes only warns."""
+    built = get_scenario(scenario).build(**params)
+    horizon = built.horizon if horizon is None else horizon
+    with intern_pool():
+        started = time.perf_counter()
+        runs = sum(
+            1
+            for _ in enumerate_runs(
+                built.context,
+                built.protocols,
+                external_inputs=built.external_inputs,
+                horizon=horizon,
+            )
+        )
+        enumerate_s = time.perf_counter() - started
+    report(
+        f"enumeration ({name})",
+        "every legal schedule up to the horizon, each run once",
+        f"{runs} runs at horizon {horizon} in {enumerate_s * 1e3:.0f}ms",
+    )
+    record(ARTIFACT, name, {"runs": runs, "enumerate_s": round(enumerate_s, 6)})

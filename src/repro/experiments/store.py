@@ -395,7 +395,8 @@ class ResultStore:
         or ``None`` after a full reload, which happens when a segment's
         name, size, mtime or inode changed, the tail has a different inode
         (rotation, compaction and recovery replace it), or the tail is
-        smaller than the bytes consumed (an in-place rewrite).
+        smaller than the bytes consumed (an in-place rewrite).  A tail that
+        did not exist at the last load is read as a delta from its start.
 
         A store may both refresh and :meth:`put`.  Its own appends lie past
         the consumed bytes too, so the next refresh reads them again with
@@ -414,8 +415,10 @@ class ResultStore:
             info = os.fstat(handle.fileno()) if handle is not None else None
             inode = (info.st_dev, info.st_ino) if info is not None else None
             size = info.st_size if info is not None else 0
+            # A tail that did not exist at the last load holds only appends.
+            appeared = self._tail_inode is None and inode is not None
             stale = (
-                inode != self._tail_inode
+                (inode != self._tail_inode and not appeared)
                 or size < self._tail_offset
                 or self._segment_sig is None
                 or self._segment_signature(self._list_segments()) != self._segment_sig
@@ -436,6 +439,7 @@ class ResultStore:
             self.reload()
             self._ensure_loaded()
             return None
+        self._tail_inode = inode
         end = delta.rfind(b"\n") + 1
         self._tail_offset += end
         changed: Dict[str, None] = {}

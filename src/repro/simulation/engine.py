@@ -1,16 +1,23 @@
 """The discrete-event simulation engine for the bcm model.
 
-The engine advances global time in unit steps.  At every step it
+The model's semantics live in one function, :func:`step`, which advances a
+run prefix (:class:`RunState`) by the atomic step at time ``now``:
 
-1. collects the internal messages whose (strategy-chosen) delivery time is the
-   current step, and the external inputs scheduled for the current step;
-2. delivers them: each receiving process observes all of them in one atomic
+1. it collects the internal messages whose delivery time is ``now`` and the
+   external inputs scheduled for ``now``;
+2. it delivers them: each receiving process observes all of them in one atomic
    step (external receipts first, then internal receipts in a deterministic
    order), the process's protocol chooses local actions, and the new basic
    node is recorded on the process's timeline;
-3. sends the messages the protocol asked for, stamping them with the sender's
-   new history (full-information payload) and choosing their delivery times
-   via the :class:`~repro.simulation.delivery.DeliveryStrategy`.
+3. it records the messages the protocol asked for, stamped with the sender's
+   new history (full-information payload), and returns them.
+
+The step never picks a delivery time: its caller does, once per returned
+send, through :meth:`RunState.deliver_at`.  :class:`Simulator` asks its
+:class:`~repro.simulation.delivery.DeliveryStrategy` for one delay per send;
+:func:`~repro.simulation.enumerate.enumerate_runs` branches over every legal
+delivery time.  A delivery time past the horizon leaves the message in
+transit, and :meth:`RunState.finish` records it as pending, in send order.
 
 Processes are event-driven: they take a step only when at least one message is
 delivered to them, and they never act spontaneously at time 0, exactly as in
@@ -25,7 +32,7 @@ causal-past walk over the run works by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.nodes import BasicNode
@@ -41,7 +48,6 @@ from .messages import (
 )
 from .network import Process, TimedNetwork
 from .protocols import (
-    FloodingFullInformationProtocol,
     Protocol,
     ProtocolAssignment,
     StepContext,
@@ -67,10 +73,12 @@ class _InTransit:
     delivery_time: int
 
 
-ProtocolsLike = Union[Protocol, ProtocolAssignment, Mapping[Process, Protocol]]
+ProtocolsLike = Union[None, Protocol, ProtocolAssignment, Mapping[Process, Protocol]]
 
 
 def _normalise_protocols(protocols: ProtocolsLike) -> ProtocolAssignment:
+    if protocols is None:
+        return ProtocolAssignment()
     if isinstance(protocols, ProtocolAssignment):
         return protocols
     if isinstance(protocols, Protocol):
@@ -78,6 +86,178 @@ def _normalise_protocols(protocols: ProtocolsLike) -> ProtocolAssignment:
     if isinstance(protocols, Mapping):
         return ProtocolAssignment(protocols=dict(protocols))
     raise SimulationError(f"cannot interpret {protocols!r} as a protocol assignment")
+
+
+def externals_by_time(
+    externals: Iterable[ExternalInput], net: TimedNetwork
+) -> Dict[int, List[ExternalInput]]:
+    """A :func:`~repro.simulation.context.schedule` grouped by time, as :func:`step` reads it."""
+    grouped: Dict[int, List[ExternalInput]] = {}
+    for external in externals:
+        if external.process not in net.processes:
+            raise SimulationError(
+                f"external input addressed to unknown process {external.process!r}"
+            )
+        grouped.setdefault(external.time, []).append(external)
+    return grouped
+
+
+@dataclass
+class RunState:
+    """A run prefix: everything needed to continue a run from some time on."""
+
+    histories: Dict[Process, History]
+    timelines: Dict[Process, List[Tuple[int, BasicNode]]]
+    in_transit: List[_InTransit] = field(default_factory=list)
+    sends: List[SendRecord] = field(default_factory=list)
+    deliveries: List[DeliveryRecord] = field(default_factory=list)
+    externals: List[ExternalDeliveryRecord] = field(default_factory=list)
+
+    @classmethod
+    def initial(cls, net: TimedNetwork) -> "RunState":
+        """Every process in its initial node, at time 0, with nothing sent."""
+        return cls(
+            {process: History.initial(process) for process in net.processes},
+            {process: [(0, BasicNode.initial(process))] for process in net.processes},
+        )
+
+    def copy(self) -> "RunState":
+        return RunState(
+            dict(self.histories),
+            {process: list(timeline) for process, timeline in self.timelines.items()},
+            list(self.in_transit),
+            list(self.sends),
+            list(self.deliveries),
+            list(self.externals),
+        )
+
+    def deliver_at(self, send: SendRecord, delivery_time: int) -> None:
+        """Put ``send`` in transit until ``delivery_time`` (past the horizon: pending)."""
+        self.in_transit.append(_InTransit(send=send, delivery_time=delivery_time))
+
+    def finish(self, context: Context, horizon: int) -> Run:
+        """The run this prefix spells out at ``horizon``; what is in transit is pending."""
+        return Run(
+            context=context,
+            horizon=horizon,
+            timelines={process: tuple(t) for process, t in self.timelines.items()},
+            sends=tuple(self.sends),
+            deliveries=tuple(self.deliveries),
+            external_deliveries=tuple(self.externals),
+            pending=tuple(item.send for item in self.in_transit),
+        )
+
+
+def step(
+    state: RunState,
+    now: int,
+    net: TimedNetwork,
+    protocols: ProtocolAssignment,
+    externals_by_time: Mapping[int, Sequence[ExternalInput]],
+) -> List[SendRecord]:
+    """Advance ``state`` in place by the atomic step at time ``now``.
+
+    Returns the messages sent in this step, in process order and then
+    destination order; they are already in ``state.sends``, and the caller
+    puts each one in transit with :meth:`RunState.deliver_at`.
+    """
+    due = [item for item in state.in_transit if item.delivery_time == now]
+    state.in_transit = [item for item in state.in_transit if item.delivery_time != now]
+
+    incoming: Dict[Process, Tuple[List[ExternalInput], List[_InTransit]]] = {}
+    for external in externals_by_time.get(now, ()):
+        incoming.setdefault(external.process, ([], []))[0].append(external)
+    for item in due:
+        incoming.setdefault(item.send.destination, ([], []))[1].append(item)
+
+    new_sends: List[SendRecord] = []
+    for process in net.processes:
+        if process not in incoming:
+            continue
+        observations, delivered_items, delivered_externals = _receipts(*incoming[process])
+        previous = state.histories[process]
+        ctx = StepContext(
+            process=process,
+            previous_history=previous,
+            observations=observations,
+            timed_network=net,
+        )
+        decision = protocols.for_process(process).on_step(ctx)
+        new_history = previous.extend(
+            observations + tuple(LocalAction(name) for name in decision.actions)
+        )
+        state.histories[process] = new_history
+        new_node = BasicNode(process, new_history)
+        state.timelines[process].append((now, new_node))
+
+        for item in delivered_items:
+            state.deliveries.append(
+                DeliveryRecord(send=item.send, receiver_node=new_node, delivery_time=now)
+            )
+        for external in delivered_externals:
+            state.externals.append(
+                ExternalDeliveryRecord(external=external, receiver_node=new_node)
+            )
+
+        destinations = _destinations(decision, process, net)
+        if destinations:
+            message = Message(
+                sender=process,
+                recipients=destinations,
+                sender_history=new_history,
+                payload=decision.payload,
+            )
+            for destination in destinations:
+                new_sends.append(
+                    SendRecord(
+                        message=message,
+                        sender_node=new_node,
+                        destination=destination,
+                        send_time=now,
+                    )
+                )
+    state.sends.extend(new_sends)
+    return new_sends
+
+
+def _receipts(
+    externals: Sequence[ExternalInput], items: Sequence[_InTransit]
+) -> Tuple[Tuple[Observation, ...], List[_InTransit], List[ExternalInput]]:
+    """Deterministically order one process's receipts in one step.
+
+    External receipts come first (sorted by tag), then internal receipts
+    sorted by (send time, sender, recipients).  The ordering is arbitrary
+    but fixed so that runs are reproducible.
+    """
+    sorted_externals = sorted(externals, key=lambda e: e.tag)
+    sorted_items = sorted(
+        items,
+        key=lambda item: (
+            item.send.send_time,
+            item.send.sender,
+            item.send.message.recipients,
+        ),
+    )
+    observations: List[Observation] = [
+        ExternalReceipt(external.tag) for external in sorted_externals
+    ]
+    observations.extend(MessageReceipt(item.send.message) for item in sorted_items)
+    return tuple(observations), sorted_items, sorted_externals
+
+
+def _destinations(
+    decision: StepDecision, process: Process, net: TimedNetwork
+) -> Tuple[Process, ...]:
+    neighbors = net.out_neighbors(process)
+    if decision.send_to is None:
+        return neighbors
+    for destination in decision.send_to:
+        if destination not in neighbors:
+            raise SimulationError(
+                f"protocol of {process} asked to send to {destination!r} but there is "
+                f"no channel ({process}, {destination})"
+            )
+    return tuple(decision.send_to)
 
 
 class Simulator:
@@ -107,8 +287,6 @@ class Simulator:
         external_inputs: Iterable[ExternalInput | Tuple[int, Process, str]] = (),
         horizon: int = 50,
     ):
-        if protocols is None:
-            protocols = FloodingFullInformationProtocol()
         self.context = context
         self.protocols = _normalise_protocols(protocols)
         self.delivery = delivery if delivery is not None else EarliestDelivery()
@@ -116,152 +294,19 @@ class Simulator:
         if horizon < 0:
             raise SimulationError("horizon must be non-negative")
         self.horizon = int(horizon)
-        for external in self.external_inputs:
-            if external.process not in context.timed_network.processes:
-                raise SimulationError(
-                    f"external input addressed to unknown process {external.process!r}"
-                )
-
-    # -- the main loop -------------------------------------------------------
+        self._externals_by_time = externals_by_time(self.external_inputs, context.timed_network)
 
     def run(self) -> Run:
+        """The one run in which every message takes the delay the strategy picks."""
         net = self.context.timed_network
-        histories: Dict[Process, History] = {
-            process: History.initial(process) for process in net.processes
-        }
-        timelines: Dict[Process, List[Tuple[int, BasicNode]]] = {
-            process: [(0, BasicNode.initial(process))] for process in net.processes
-        }
-        in_transit: List[_InTransit] = []
-        sends: List[SendRecord] = []
-        deliveries: List[DeliveryRecord] = []
-        external_records: List[ExternalDeliveryRecord] = []
-
-        externals_by_time: Dict[int, List[ExternalInput]] = {}
-        for external in self.external_inputs:
-            externals_by_time.setdefault(external.time, []).append(external)
-
+        state = RunState.initial(net)
         for now in range(1, self.horizon + 1):
-            due = [item for item in in_transit if item.delivery_time == now]
-            in_transit = [item for item in in_transit if item.delivery_time != now]
-            due_externals = externals_by_time.get(now, [])
-
-            incoming: Dict[Process, Dict[str, list]] = {}
-            for external in due_externals:
-                slot = incoming.setdefault(external.process, {"ext": [], "msg": []})
-                slot["ext"].append(external)
-            for item in due:
-                slot = incoming.setdefault(item.send.destination, {"ext": [], "msg": []})
-                slot["msg"].append(item)
-
-            new_sends: List[SendRecord] = []
-            for process in net.processes:
-                if process not in incoming:
-                    continue
-                slot = incoming[process]
-                observations, delivered_items, delivered_externals = self._build_observations(
-                    slot["ext"], slot["msg"]
-                )
-                previous = histories[process]
-                ctx = StepContext(
-                    process=process,
-                    previous_history=previous,
-                    observations=observations,
-                    timed_network=net,
-                )
-                decision = self.protocols.for_process(process).on_step(ctx)
-                step = observations + tuple(LocalAction(name) for name in decision.actions)
-                new_history = previous.extend(step)
-                histories[process] = new_history
-                new_node = BasicNode(process, new_history)
-                timelines[process].append((now, new_node))
-
-                for item in delivered_items:
-                    deliveries.append(
-                        DeliveryRecord(send=item.send, receiver_node=new_node, delivery_time=now)
-                    )
-                for external in delivered_externals:
-                    external_records.append(
-                        ExternalDeliveryRecord(external=external, receiver_node=new_node)
-                    )
-
-                destinations = self._destinations(decision, process, net)
-                if destinations:
-                    message = Message(
-                        sender=process,
-                        recipients=tuple(destinations),
-                        sender_history=new_history,
-                        payload=decision.payload,
-                    )
-                    for destination in destinations:
-                        new_sends.append(
-                            SendRecord(
-                                message=message,
-                                sender_node=new_node,
-                                destination=destination,
-                                send_time=now,
-                            )
-                        )
-
-            for record in new_sends:
-                sends.append(record)
+            for record in step(state, now, net, self.protocols, self._externals_by_time):
                 delay = self.delivery.checked_delay(
                     record.message, record.destination, record.send_time, net
                 )
-                in_transit.append(_InTransit(send=record, delivery_time=record.send_time + delay))
-
-        pending = tuple(item.send for item in in_transit)
-        return Run(
-            context=self.context,
-            horizon=self.horizon,
-            timelines={p: tuple(t) for p, t in timelines.items()},
-            sends=tuple(sends),
-            deliveries=tuple(deliveries),
-            external_deliveries=tuple(external_records),
-            pending=pending,
-        )
-
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _build_observations(
-        externals: Sequence[ExternalInput], items: Sequence[_InTransit]
-    ) -> Tuple[Tuple[Observation, ...], List[_InTransit], List[ExternalInput]]:
-        """Deterministically order this step's receipts.
-
-        External receipts come first (sorted by tag), then internal receipts
-        sorted by (send time, sender, recipients).  The ordering is arbitrary
-        but fixed so that runs are reproducible.
-        """
-        sorted_externals = sorted(externals, key=lambda e: e.tag)
-        sorted_items = sorted(
-            items,
-            key=lambda item: (
-                item.send.send_time,
-                item.send.sender,
-                item.send.message.recipients,
-            ),
-        )
-        observations: List[Observation] = [
-            ExternalReceipt(external.tag) for external in sorted_externals
-        ]
-        observations.extend(MessageReceipt(item.send.message) for item in sorted_items)
-        return tuple(observations), list(sorted_items), list(sorted_externals)
-
-    @staticmethod
-    def _destinations(
-        decision: StepDecision, process: Process, net: TimedNetwork
-    ) -> Tuple[Process, ...]:
-        neighbors = net.out_neighbors(process)
-        if decision.send_to is None:
-            return neighbors
-        for destination in decision.send_to:
-            if destination not in neighbors:
-                raise SimulationError(
-                    f"protocol of {process} asked to send to {destination!r} but there is "
-                    f"no channel ({process}, {destination})"
-                )
-        return tuple(decision.send_to)
+                state.deliver_at(record, now + delay)
+        return state.finish(self.context, self.horizon)
 
 
 def simulate(

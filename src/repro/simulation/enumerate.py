@@ -12,75 +12,30 @@ protocols) is validated in the test suite:
   bounds graph with the minimum gap over all enumerated runs that are
   indistinguishable at the observing node.
 
-The enumeration branches over the delivery delay of every message at the
-moment it is sent.  Delays that would push delivery past the horizon are
-collapsed into a single "still pending" choice, which keeps the enumeration
+The enumeration is the simulator's own :func:`~repro.simulation.engine.step`
+plus an ``itertools.product`` over the legal delivery times of the messages
+each step sends, so it cannot drift from the runs :class:`Simulator` builds.
+All delivery times past the horizon collapse into one choice, ``horizon + 1``:
+the message stays in transit and the finished run records it as pending, in
+send order, exactly as a simulated run does.  This keeps the enumeration
 finite and free of duplicate prefixes.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ..core.nodes import BasicNode
 from .context import Context, ExternalInput, schedule
-from .engine import Simulator, _InTransit
-from .messages import History, LocalAction, Message
+from .engine import ProtocolsLike, RunState, _normalise_protocols, externals_by_time, step
 from .network import Process
-from .protocols import ProtocolAssignment, StepContext
-from .runs import DeliveryRecord, ExternalDeliveryRecord, Run, SendRecord
-
-#: Sentinel delay meaning "the message is still in transit at the horizon".
-_PENDING = None
-
-
-class _State:
-    """A snapshot of the enumeration: everything needed to continue a run."""
-
-    __slots__ = (
-        "histories",
-        "timelines",
-        "in_transit",
-        "sends",
-        "deliveries",
-        "externals",
-        "pending",
-    )
-
-    def __init__(
-        self,
-        histories: Dict[Process, History],
-        timelines: Dict[Process, List[Tuple[int, BasicNode]]],
-        in_transit: List[_InTransit],
-        sends: List[SendRecord],
-        deliveries: List[DeliveryRecord],
-        externals: List[ExternalDeliveryRecord],
-        pending: List[SendRecord],
-    ):
-        self.histories = histories
-        self.timelines = timelines
-        self.in_transit = in_transit
-        self.sends = sends
-        self.deliveries = deliveries
-        self.externals = externals
-        self.pending = pending
-
-    def copy(self) -> "_State":
-        return _State(
-            dict(self.histories),
-            {p: list(t) for p, t in self.timelines.items()},
-            list(self.in_transit),
-            list(self.sends),
-            list(self.deliveries),
-            list(self.externals),
-            list(self.pending),
-        )
+from .runs import Run
 
 
 def enumerate_runs(
     context: Context,
-    protocols=None,
+    protocols: ProtocolsLike = None,
     external_inputs: Iterable[ExternalInput | Tuple[int, Process, str]] = (),
     horizon: int = 10,
     max_runs: Optional[int] = None,
@@ -90,146 +45,47 @@ def enumerate_runs(
     The number of runs is exponential in the number of messages; keep networks
     tiny (2--4 processes) and horizons short (<= ~10) or pass ``max_runs``.
     """
-    from .engine import _normalise_protocols
-
-    assignment = _normalise_protocols(
-        protocols if protocols is not None else ProtocolAssignment()
-    )
+    assignment = _normalise_protocols(protocols)
     net = context.timed_network
-    external_schedule = schedule(external_inputs)
-    externals_by_time: Dict[int, List[ExternalInput]] = {}
-    for external in external_schedule:
-        externals_by_time.setdefault(external.time, []).append(external)
-
-    initial = _State(
-        histories={p: History.initial(p) for p in net.processes},
-        timelines={p: [(0, BasicNode.initial(p))] for p in net.processes},
-        in_transit=[],
-        sends=[],
-        deliveries=[],
-        externals=[],
-        pending=[],
-    )
-
+    by_time = externals_by_time(schedule(external_inputs), net)
+    beyond = horizon + 1  # the one delivery time that stands for "still pending"
     produced = 0
 
-    def finish(state: _State) -> Run:
-        return Run(
-            context=context,
-            horizon=horizon,
-            timelines={p: tuple(t) for p, t in state.timelines.items()},
-            sends=tuple(state.sends),
-            deliveries=tuple(state.deliveries),
-            external_deliveries=tuple(state.externals),
-            pending=tuple(state.pending) + tuple(item.send for item in state.in_transit),
-        )
-
-    def expand(state: _State, now: int) -> Iterator[Run]:
+    def expand(state: RunState, now: int) -> Iterator[Run]:
+        """Every run extending ``state``, which this call owns and advances."""
         nonlocal produced
         if max_runs is not None and produced >= max_runs:
             return
         if now > horizon:
             produced += 1
-            yield finish(state)
+            yield state.finish(context, horizon)
             return
-
-        due = [item for item in state.in_transit if item.delivery_time == now]
-        remaining = [item for item in state.in_transit if item.delivery_time != now]
-        due_externals = externals_by_time.get(now, [])
-
-        incoming: Dict[Process, Dict[str, list]] = {}
-        for external in due_externals:
-            incoming.setdefault(external.process, {"ext": [], "msg": []})["ext"].append(external)
-        for item in due:
-            incoming.setdefault(item.send.destination, {"ext": [], "msg": []})["msg"].append(item)
-
-        state = state.copy()
-        state.in_transit = remaining
-        new_sends: List[SendRecord] = []
-        for process in net.processes:
-            if process not in incoming:
-                continue
-            slot = incoming[process]
-            observations, delivered_items, delivered_externals = Simulator._build_observations(
-                slot["ext"], slot["msg"]
-            )
-            previous = state.histories[process]
-            ctx = StepContext(
-                process=process,
-                previous_history=previous,
-                observations=observations,
-                timed_network=net,
-            )
-            decision = assignment.for_process(process).on_step(ctx)
-            step = observations + tuple(LocalAction(name) for name in decision.actions)
-            new_history = previous.extend(step)
-            state.histories[process] = new_history
-            new_node = BasicNode(process, new_history)
-            state.timelines[process].append((now, new_node))
-            for item in delivered_items:
-                state.deliveries.append(
-                    DeliveryRecord(send=item.send, receiver_node=new_node, delivery_time=now)
-                )
-            for external in delivered_externals:
-                state.externals.append(
-                    ExternalDeliveryRecord(external=external, receiver_node=new_node)
-                )
-            destinations = Simulator._destinations(decision, process, net)
-            if destinations:
-                message = Message(
-                    sender=process,
-                    recipients=tuple(destinations),
-                    sender_history=new_history,
-                    payload=decision.payload,
-                )
-                for destination in destinations:
-                    new_sends.append(
-                        SendRecord(
-                            message=message,
-                            sender_node=new_node,
-                            destination=destination,
-                            send_time=now,
-                        )
-                    )
-
-        state.sends.extend(new_sends)
-
-        # Branch over the delivery delay of every message sent in this step.
-        choice_lists: List[List[Optional[int]]] = []
-        for record in new_sends:
-            lower = net.L(record.sender, record.destination)
-            upper = net.U(record.sender, record.destination)
-            choices: List[Optional[int]] = [
-                delay for delay in range(lower, upper + 1) if now + delay <= horizon
-            ]
-            if now + upper > horizon:
-                choices.append(_PENDING)
-            choice_lists.append(choices)
-
-        if not choice_lists:
+        new_sends = step(state, now, net, assignment, by_time)
+        if not new_sends:
             yield from expand(state, now + 1)
             return
-
-        for combination in itertools.product(*choice_lists):
+        choices = [
+            range(
+                min(now + net.L(record.sender, record.destination), beyond),
+                min(now + net.U(record.sender, record.destination), beyond) + 1,
+            )
+            for record in new_sends
+        ]
+        for delivery_times in itertools.product(*choices):
             if max_runs is not None and produced >= max_runs:
                 return
             branch = state.copy()
-            for record, delay in zip(new_sends, combination):
-                if delay is _PENDING:
-                    branch.pending.append(record)
-                else:
-                    branch.in_transit.append(
-                        _InTransit(send=record, delivery_time=now + delay)
-                    )
+            for record, delivery_time in zip(new_sends, delivery_times):
+                branch.deliver_at(record, delivery_time)
             yield from expand(branch, now + 1)
 
-    yield from expand(initial, 1)
+    yield from expand(RunState.initial(net), 1)
 
 
 def enumerate_indistinguishable_runs(
     context: Context,
     sigma: BasicNode,
-    protocols=None,
+    protocols: ProtocolsLike = None,
     external_inputs: Iterable[ExternalInput | Tuple[int, Process, str]] = (),
     horizon: int = 10,
     max_runs: Optional[int] = None,

@@ -294,6 +294,7 @@ class Run:
     _send_index: Optional[Dict[Tuple[BasicNode, Process], SendRecord]] = field(
         default=None, repr=False
     )
+    _actions: Optional[Tuple[ActionRecord, ...]] = field(default=None, repr=False)
 
     # Runs are mutable containers (lazy indexes), so they stay unhashable.
     __hash__ = None
@@ -478,16 +479,21 @@ class Run:
     # -- actions -----------------------------------------------------------------
 
     def actions(self) -> Tuple[ActionRecord, ...]:
-        """All local actions performed in the run, with their nodes and times."""
-        records: List[ActionRecord] = []
-        for process in self.processes:
-            for time, node in self.timelines[process]:
-                if node.is_initial:
-                    continue
-                for observation in node.history.last_step:
-                    if isinstance(observation, LocalAction):
-                        records.append(ActionRecord(process, observation.name, node, time))
-        return tuple(records)
+        """All local actions performed in the run, with their nodes and times.
+
+        Built once per run; every later call returns the same tuple.
+        """
+        if self._actions is None:
+            records: List[ActionRecord] = []
+            for process in self.processes:
+                for time, node in self.timelines[process]:
+                    if node.is_initial:
+                        continue
+                    for observation in node.history.last_step:
+                        if isinstance(observation, LocalAction):
+                            records.append(ActionRecord(process, observation.name, node, time))
+            self._actions = tuple(records)
+        return self._actions
 
     def find_action(self, process: Process, action: str) -> Optional[ActionRecord]:
         """The first occurrence of ``action`` at ``process``, or ``None``."""

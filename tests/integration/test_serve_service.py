@@ -310,7 +310,9 @@ def test_report_stays_identical_to_a_fresh_scan_across_store_mutations(tmp_path)
         svc.stop()
 
 
-@pytest.mark.parametrize("group_by, clash", [("cells,scenario", "cells"), ("scenario,summary.sends", "summary.sends")])
+@pytest.mark.parametrize(
+    "group_by, clash", [("cells,scenario", "cells"), ("scenario,summary.sends", "summary.sends")]
+)
 def test_report_rejects_a_group_field_that_would_lose_its_value(service, group_by, clash):
     """A group field named like the ``cells`` count or a requested metric is
     a 400 naming the field, not a payload with the group value overwritten."""
@@ -366,6 +368,27 @@ def test_reposts_load_the_job_store_once_and_probe_each_cell_once(service, monke
         if attempt:
             assert (final["cells"]["cached"], final["cells"]["executed"]) == (cells, 0)
     # One load for four jobs; submitting reads no store at all.
+    assert loads == [service._job_store]
+
+
+def test_a_job_store_opened_on_an_empty_path_loads_once_in_four_jobs(service, monkeypatch):
+    loads = []
+    real_load = ResultStore._ensure_loaded
+
+    def counting_load(store):
+        if not store._loaded:
+            loads.append(store)
+        real_load(store)
+
+    # No tail file before the first job: the first job's appends create it,
+    # and the next refreshes read them as a delta, not as a new file.
+    assert not os.path.exists(service.store_path)
+    monkeypatch.setattr(ResultStore, "_ensure_loaded", counting_load)
+    cells = len(_cells(SPEC_A))
+    for attempt in range(4):
+        final = _wait_done(service, _post(service, SPEC_A)["sweep"])
+        expected = (cells, 0) if attempt else (0, cells)
+        assert (final["cells"]["cached"], final["cells"]["executed"]) == expected
     assert loads == [service._job_store]
 
 

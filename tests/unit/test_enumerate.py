@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.scenarios import get_scenario
 from repro.simulation import (
     Context,
+    EarliestDelivery,
+    ExternalInput,
+    LatestDelivery,
     ProtocolAssignment,
+    SeededRandomDelivery,
+    SimulationError,
     actor_protocol,
     enumerate_indistinguishable_runs,
     enumerate_runs,
@@ -73,24 +79,19 @@ class TestEnumeration:
         enumerated = list(
             enumerate_runs(context, protocols, external_inputs=go_at(1, "C"), horizon=6)
         )
-        target = {
-            (d.sender, d.destination, d.send_time, d.delivery_time)
-            for d in simulated.deliveries
-        }
-        assert any(
-            {
-                (d.sender, d.destination, d.send_time, d.delivery_time)
-                for d in run.deliveries
-            }
-            == target
-            for run in enumerated
-        )
+        # Full ``Run`` equality: timelines, every record and the pending order.
+        assert sum(run == simulated for run in enumerated) == 1
 
     def test_no_external_input_yields_single_quiet_run(self, tiny_context):
         context, protocols = tiny_context
         runs = list(enumerate_runs(context, protocols, horizon=4))
         assert len(runs) == 1
         assert not runs[0].deliveries
+
+    def test_rejects_unknown_external_recipient(self, tiny_context):
+        context, protocols = tiny_context
+        with pytest.raises(SimulationError):
+            list(enumerate_runs(context, protocols, external_inputs=[ExternalInput(1, "Z")]))
 
     def test_indistinguishable_filter(self, tiny_context):
         context, protocols = tiny_context
@@ -111,3 +112,40 @@ class TestEnumeration:
         # A's local state does not encode real time, so every schedule (any C->A
         # delay, any C->B delay) is indistinguishable at A's node.
         assert len(matching) == 6
+
+
+#: (scenario, build parameters, horizon): small enough to enumerate in full.
+PINNED_CASES = [
+    ("figure1", {}, 10),
+    ("figure2b", {}, 10),
+    ("zigzag-chain", {}, 10),
+    ("line-flood", {"num_processes": 3}, 6),
+    ("ring-flood", {"num_processes": 3}, 5),
+]
+
+
+@pytest.mark.parametrize("name,params,horizon", PINNED_CASES, ids=[c[0] for c in PINNED_CASES])
+def test_every_simulated_run_is_exactly_one_enumerated_run(name, params, horizon):
+    """The enumerator and the simulator share one step: each adversary's run
+    is one of the enumerated runs, record for record and in pending order."""
+    scenario = get_scenario(name).build(**params)
+    enumerated = list(
+        enumerate_runs(
+            scenario.context,
+            scenario.protocols,
+            external_inputs=scenario.external_inputs,
+            horizon=horizon,
+        )
+    )
+    adversaries = [EarliestDelivery(), LatestDelivery()]
+    adversaries += [SeededRandomDelivery(seed) for seed in (1, 2, 3)]
+    for delivery in adversaries:
+        simulated = simulate(
+            scenario.context,
+            scenario.protocols,
+            delivery=delivery,
+            external_inputs=scenario.external_inputs,
+            horizon=horizon,
+        )
+        matches = [run for run in enumerated if run == simulated]
+        assert len(matches) == 1, (name, type(delivery).__name__, len(matches))

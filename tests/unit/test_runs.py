@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import general
-from repro.simulation import Run, RunError, RunValidationError
+from repro.scenarios import random_workload, workload_scenario
+from repro.simulation import LocalAction, Run, RunError, RunValidationError
 from repro.simulation.runs import DeliveryRecord, SendRecord
 
 
@@ -67,6 +68,33 @@ class TestMessagesAndActions:
         assert triangle_run.find_action("A", "a").time == 3
         assert triangle_run.find_action("A", "zzz") is None
         assert triangle_run.action_time("B", "b") is None
+
+    def test_actions_are_built_once_and_ignored_by_equality(self, triangle_run):
+        first = triangle_run.actions()
+        assert triangle_run.actions() is first
+        fresh = Run.from_dict(triangle_run.to_dict())  # no memo yet
+        assert fresh == triangle_run
+        assert fresh.to_dict() == triangle_run.to_dict()
+        assert fresh.actions() == first
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_find_action_equals_a_linear_scan_of_the_timeline(self, seed):
+        run = workload_scenario(random_workload(num_processes=4, seed=seed), horizon=25).run()
+
+        def scan(process, action):
+            for time, node in run.timelines[process][1:]:
+                for observation in node.history.last_step:
+                    if observation == LocalAction(action):
+                        return time, node
+            return None
+
+        names = {record.action for record in run.actions()} | {"never"}
+        assert len(names) > 1
+        for process in run.processes:
+            for name in names:
+                found = run.find_action(process, name)
+                expected = scan(process, name)
+                assert (None if found is None else (found.time, found.node)) == expected
 
 
 class TestGeneralNodeResolution:

@@ -148,6 +148,35 @@ def test_in_place_rewrite_that_grows_reloads_in_full(path):
     assert view.records() == _fresh(path)
 
 
+def test_a_tail_that_appears_after_the_load_is_read_as_a_delta(path):
+    view = ResultStore(path, rotate_bytes=None)
+    assert view.refresh() is None  # the load finds no tail file
+    assert not os.path.exists(path)
+    writer = ResultStore(path, rotate_bytes=None)
+    writer.put(_record("a", 1))
+    writer.put(_record("b", 2))
+    assert view.refresh() == ("a", "b")
+    fresh = ResultStore(path, rotate_bytes=None)
+    assert [view.get(key) for key in "ab"] == [fresh.get(key) for key in "ab"]
+    assert view.records() == _fresh(path)
+    writer.put(_record("a", 11))
+    assert view.refresh() == ("a",)
+    assert view.get("a")["value"] == 11
+
+
+def test_a_rotation_after_the_tail_appears_still_reloads_in_full(path):
+    view = ResultStore(path, rotate_bytes=None)
+    assert view.refresh() is None  # the load finds no tail file
+    writer = ResultStore(path, rotate_bytes=1024)
+    writer.put(_record("a", 1))
+    assert writer.rotate(force=True) is not None
+    writer.put(_record("b", 2))
+    assert view.refresh() is None
+    fresh = ResultStore(path, rotate_bytes=None)
+    assert [view.get(key) for key in "ab"] == [fresh.get(key) for key in "ab"]
+    assert view.records() == _fresh(path)
+
+
 def test_deleted_index_still_gives_correct_reads(segmented):
     os.unlink(segmented.index_path)
     writer = ResultStore(segmented.path, rotate_bytes=None)
