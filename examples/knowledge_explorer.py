@@ -16,13 +16,13 @@ Run with:  python examples/knowledge_explorer.py
 from repro.core import (
     ExtendedBoundsGraph,
     KnowledgeChecker,
-    basic_bounds_graph,
     check_theorem2,
     general,
     past_nodes,
     slow_run,
 )
 from repro.scenarios import figure2b_scenario, zigzag_chain_equation_weight
+from repro.simulation import GO_TRIGGER
 from repro.viz import extended_graph_listing, path_listing, spacetime_diagram
 
 
@@ -34,7 +34,7 @@ def main() -> None:
     print(spacetime_diagram(run, end=20))
     print()
 
-    go_node = next(r.receiver_node for r in run.external_deliveries if r.process == "C")
+    go_node = run.external_node(GO_TRIGGER, "C")
     theta_a = general(go_node, ("C", "A"))
     a_node = run.resolve(theta_a)
     b_record = run.find_action("B", "b")
@@ -46,7 +46,7 @@ def main() -> None:
         f"Longest GB(r) path from a's node to b's node has weight {report.constraint_weight} "
         f"(Equation (1) gives {zigzag_chain_equation_weight(scenario, 2)})"
     )
-    graph = basic_bounds_graph(run)
+    graph = run.bounds_graph()
     weight, edges = graph.longest_path(a_node, b_record.node)
     print(path_listing(edges, run))
     slowed = slow_run(run, b_record.node)

@@ -42,7 +42,7 @@ def main() -> None:
 
     # Why was B allowed to act?  Reconstruct its knowledge at the action node.
     sigma = run.find_action("B", "b").node
-    go_node = next(r.receiver_node for r in run.external_deliveries if r.process == "C")
+    go_node = task.go_node(run)
     theta_a = general(go_node, ("C", "A"))  # the node at which A performs `a`
     checker = KnowledgeChecker(sigma, run.timed_network)
     known = checker.max_known_gap(theta_a, sigma)

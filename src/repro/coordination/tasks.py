@@ -65,10 +65,7 @@ class CoordinationTask:
 
     def go_node(self, run: "Run") -> Optional[BasicNode]:
         """The node ``sigma_C`` at which C receives the trigger (and sends go)."""
-        for record in run.external_deliveries:
-            if record.process == self.go_sender and record.tag == self.go_trigger:
-                return record.receiver_node
-        return None
+        return run.external_node(self.go_trigger, self.go_sender)
 
     def action_node_a(self, run: "Run") -> Optional[GeneralNode]:
         """``sigma_C . A``: the general node at which A performs ``a``."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .bounds_graph import LOWER_EDGE, SUCCESSOR_EDGE, UPPER_EDGE, basic_bounds_graph
+from .bounds_graph import LOWER_EDGE, SUCCESSOR_EDGE, UPPER_EDGE
 from .forks import TwoLeggedFork, trivial_fork
 from .graph import Edge
 from .nodes import BasicNode, GeneralNode, general
@@ -124,8 +124,7 @@ def longest_zigzag_between(
     Computes the longest path in ``GB(r)`` and converts it via Lemma 5.
     Returns ``None`` when no path (hence no zigzag-derived constraint) exists.
     """
-    graph = basic_bounds_graph(run)
-    result = graph.longest_path(source, target)
+    result = run.bounds_graph().longest_path(source, target)
     if result is None:
         return None
     weight, edges = result

@@ -29,7 +29,7 @@ from ..simulation.runs import (
     Run,
     SendRecord,
 )
-from .bounds_graph import basic_bounds_graph, is_p_closed
+from .bounds_graph import is_p_closed
 from .nodes import BasicNode
 from .timing import slow_timing, validate_timing
 
@@ -54,7 +54,7 @@ def run_by_timing(
     all message contents) of the selected nodes; only their occurrence times
     change.
     """
-    graph = basic_bounds_graph(run)
+    graph = run.bounds_graph()
     domain = set(timing)
     unknown = [node for node in domain if node not in graph]
     if unknown:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from ..simulation.messages import GO_TRIGGER
 from ..simulation.network import TimedNetwork
 from .knowledge import KnowledgeChecker, empirical_min_gap
 from .nodes import BasicNode, GeneralNode, general
@@ -177,15 +178,16 @@ def check_theorem3(
     """Check Theorem 3 for one run of a protocol implementing Early/Late.
 
     ``actor``/``action`` identify B and its action ``b``; ``go_sender`` is C
-    and ``go_recipient`` is A.  For ``late=True`` the implemented task is
-    ``Late<a --margin--> b>`` (A acts first); otherwise ``Early<b --margin--> a>``.
+    (its go node is where it receives ``mu_go``) and ``go_recipient`` is A.
+    For ``late=True`` the implemented task is ``Late<a --margin--> b>`` (A
+    acts first); otherwise ``Early<b --margin--> a>``.
     """
     record = run.find_action(actor, action)
     if record is None:
         return Theorem3Report(acted=False, go_in_past=None, knowledge_holds=None)
     sigma = record.node
 
-    go_node = _go_node(run, go_sender)
+    go_node = run.external_node(GO_TRIGGER, go_sender)
     if go_node is None or not run.happens_before(go_node, sigma):
         return Theorem3Report(acted=True, go_in_past=False, knowledge_holds=None)
 
@@ -196,14 +198,6 @@ def check_theorem3(
     else:
         knows = checker.knows(sigma, theta_a, margin)
     return Theorem3Report(acted=True, go_in_past=True, knowledge_holds=knows)
-
-
-def _go_node(run: "Run", go_sender: str) -> Optional[BasicNode]:
-    """The node at which C receives the go trigger (and hence sends the go message)."""
-    for record in run.external_deliveries:
-        if record.process == go_sender:
-            return record.receiver_node
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, TYPE_CHECKING
 
-from .bounds_graph import basic_bounds_graph, is_p_closed, precedence_set
+from .bounds_graph import is_p_closed, precedence_set
 from .graph import NEG_INF, WeightedGraph
 from .nodes import BasicNode
 
@@ -103,7 +103,7 @@ def slow_timing(run: "Run", sigma: BasicNode) -> Dict[BasicNode, int]:
     Under this timing the gap between any node of ``V_sigma`` and ``sigma`` is
     exactly the longest-path constraint, i.e. every constraint is tight.
     """
-    graph = basic_bounds_graph(run)
+    graph = run.bounds_graph()
     if sigma not in graph:
         raise TimingError(f"{sigma.describe()} does not appear in the run")
     distances = longest_distances_to(graph, sigma)
@@ -115,13 +115,12 @@ def slow_timing(run: "Run", sigma: BasicNode) -> Dict[BasicNode, int]:
 
 def slow_timing_domain(run: "Run", sigma: BasicNode) -> FrozenSet[BasicNode]:
     """``V_sigma``: the domain of the slow timing function."""
-    graph = basic_bounds_graph(run)
-    return precedence_set(graph, sigma)
+    return precedence_set(run.bounds_graph(), sigma)
 
 
 def check_p_closed(run: "Run", nodes: Iterable[BasicNode]) -> bool:
     """Whether a node set is p-closed w.r.t. the run's bounds graph (Def. 11)."""
-    return is_p_closed(basic_bounds_graph(run), nodes)
+    return is_p_closed(run.bounds_graph(), nodes)
 
 
 def tight_gap(run: "Run", sigma_from: BasicNode, sigma_to: BasicNode) -> Optional[int]:
@@ -130,5 +129,4 @@ def tight_gap(run: "Run", sigma_from: BasicNode, sigma_to: BasicNode) -> Optiona
     This is the tightest precedence constraint the run's communication pattern
     forces between the two nodes (``None`` when the pattern forces nothing).
     """
-    graph = basic_bounds_graph(run)
-    return graph.longest_path_weight(sigma_from, sigma_to)
+    return run.bounds_graph().longest_path_weight(sigma_from, sigma_to)

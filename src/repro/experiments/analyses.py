@@ -9,26 +9,26 @@ re-running anything.
 Passes adapt the existing analysis machinery of :mod:`repro.core` and
 :mod:`repro.coordination` to arbitrary registry scenarios: roles (go sender,
 actors of ``a`` and ``b``) are inferred from the run itself rather than
-assumed to be the literal processes ``A``/``B``/``C``.
+assumed to be the literal processes ``A``/``B``/``C``.  What the passes
+derive from a run (its ``GB(r)``, its actions, its go node) comes from
+:class:`Run`, which builds each artifact once and shares it between passes.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..core.bounds_graph import basic_bounds_graph
 from ..obs.trace import span
 from ..core.extended_graph import ExtendedGraphError
 from ..core.knowledge_session import KnowledgeSession
+from ..core.longest_paths import LongestPathEngine
 from ..core.nodes import general
 from ..coordination.tasks import late_task, evaluate
 from ..simulation.messages import GO_TRIGGER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.graph import WeightedGraph
     from ..simulation.runs import Run
 
 
@@ -102,46 +102,20 @@ def analysis_versions(names: Sequence[str]) -> Dict[str, int]:
     return dict(_analysis_versions(tuple(names)))
 
 
-#: The run whose passes :func:`run_analyses` is applying on this thread, and
-#: the artifacts derived from it so far (see :func:`cell_bounds_graph`).  A
-#: pass receives only the run (that is its registered signature), so the
-#: cell's scope travels beside it; per thread, as a service may run cells on
-#: several threads at once.
-_cell = threading.local()
-
-
 def run_analyses(run: "Run", names: Sequence[str]) -> Dict[str, Dict[str, Any]]:
     """Apply the requested passes to one run, in the requested order.
 
     Each pass runs under a ``span(f"analysis.{name}")``, so per-pass timing
     totals accumulate in the ``span.analysis.<name>.s`` histograms without
-    changing any result.  Artifacts the passes derive from the run (its
-    ``GB(r)``) are built once for all of them and dropped on return.
+    changing any result.  Artifacts the passes derive from the run live on
+    the run itself (:meth:`Run.bounds_graph`, :meth:`Run.actions`), built
+    once for every pass and every later reader of the same run.
     """
     results: Dict[str, Dict[str, Any]] = {}
-    _cell.run, _cell.bounds_graph = run, None
-    try:
-        for name in names:
-            with span(f"analysis.{name}"):
-                results[name] = get_analysis(name).run(run)
-    finally:
-        _cell.run = _cell.bounds_graph = None
+    for name in names:
+        with span(f"analysis.{name}"):
+            results[name] = get_analysis(name).run(run)
     return results
-
-
-def cell_bounds_graph(run: "Run") -> "WeightedGraph":
-    """``GB(r)``, built once per cell however many passes read it.
-
-    Inside :func:`run_analyses` the graph is shared by every pass of the
-    run; a pass called on its own builds a fresh one.  ``bounds_graph`` only
-    reads the graph and ``bounds_stats`` is the one pass that queries its
-    engine, so records are the same for every pass order.
-    """
-    if getattr(_cell, "run", None) is not run:
-        return basic_bounds_graph(run)
-    if _cell.bounds_graph is None:
-        _cell.bounds_graph = basic_bounds_graph(run)
-    return _cell.bounds_graph
 
 
 #: Passes every sweep applies unless told otherwise.
@@ -165,11 +139,8 @@ def infer_roles(run: "Run") -> Dict[str, Optional[str]]:
     and ``b`` are whichever processes performed those actions.  Any role may
     be absent (pure flooding scenarios have none).
     """
-    go_sender: Optional[str] = None
-    for record in run.external_deliveries:
-        if record.tag == GO_TRIGGER:
-            go_sender = record.process
-            break
+    go_node = run.external_node(GO_TRIGGER)
+    go_sender = None if go_node is None else go_node.process
     actor_a: Optional[str] = None
     actor_b: Optional[str] = None
     for record in run.actions():
@@ -211,7 +182,7 @@ def summary_pass(run: "Run") -> Dict[str, Any]:
 @register_analysis("bounds_graph", version=1)
 def bounds_graph_pass(run: "Run") -> Dict[str, Any]:
     """Size and composition of the run's basic bounds graph ``GB(r)``."""
-    graph = cell_bounds_graph(run)
+    graph = run.bounds_graph()
     by_label: Dict[str, int] = {}
     for edge in graph.edges:
         by_label[edge.label] = by_label.get(edge.label, 0) + 1
@@ -230,11 +201,13 @@ def bounds_stats_pass(run: "Run") -> Dict[str, Any]:
     batched longest-path engine's :meth:`LongestPathEngine.rows` -- one call
     for all sources -- so the relaxation cost is paid once per source row
     rather than once per pair; ``rows_computed`` records exactly how many
-    relaxations the whole cell needed.  The rows come back as final-to-final
+    relaxations the pass needed.  The rows come back as final-to-final
     weights read by index (``targets=finals``), not as dicts over all nodes.
+    The pass queries a private engine over the run's shared ``GB(r)``, so
+    ``rows_computed`` counts its own rows whatever else queried the graph.
     """
-    graph = cell_bounds_graph(run)
-    engine = graph.engine
+    graph = run.bounds_graph()
+    engine = LongestPathEngine(graph)
     finals = sorted(
         (run.final_node(process) for process in run.processes),
         key=lambda node: node.process,
@@ -311,11 +284,7 @@ def knowledge_pass(run: "Run") -> Dict[str, Any]:
     if roles["go_sender"] is None or roles["actor_a"] is None or roles["actor_b"] is None:
         return {"applicable": False, **roles}
     b_record = run.find_action(roles["actor_b"], "b")
-    go_node = None
-    for record in run.external_deliveries:
-        if record.tag == GO_TRIGGER and record.process == roles["go_sender"]:
-            go_node = record.receiver_node
-            break
+    go_node = run.external_node(GO_TRIGGER, roles["go_sender"])
     if b_record is None or go_node is None:
         return {"applicable": False, **roles}
     sigma_b = b_record.node

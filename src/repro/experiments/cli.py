@@ -34,7 +34,6 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.bounds_graph import basic_bounds_graph
 from ..core.extended_graph import ExtendedBoundsGraph
 from ..scenarios.base import RegistryError, scenario_registry
 from .analyses import DEFAULT_ANALYSES, get_analysis, list_analyses
@@ -621,7 +620,7 @@ def _cmd_export(args: argparse.Namespace, out) -> int:
     cell = _one_cell(args)
     run = build_cell_scenario(cell).run()
     if args.graph == "bounds":
-        graph = basic_bounds_graph(run)
+        graph = run.bounds_graph()
     elif args.graph == "causal":
         graph = causal_dag(run)
     else:  # extended

@@ -189,7 +189,9 @@ def iter_shard(cells: Sequence[SweepCell]) -> Iterator[Dict[str, Any]]:
         faults.fire("worker.cell")
         with intern_pool(pool):
             try:
-                record, _ = execute_cell(cell, base_cache=base_cache)
+                # Hold no reference to the run: it owns its GB(r), which
+                # would otherwise stay alive through the next cell.
+                record = execute_cell(cell, base_cache=base_cache)[0]
             except Exception as exc:  # noqa: BLE001 - per-cell isolation
                 record = error_record(cell, exc)
         yield record

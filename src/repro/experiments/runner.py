@@ -465,8 +465,7 @@ iter_shard`) reuse the undecorated scenario across cells of the same
     parameter assignment; the per-cell delivery adversary is always freshly
     built, so reuse never leaks adversary state between cells.
     """
-    started = time.perf_counter()
-    with span("cell", scenario=cell.scenario, adversary=cell.adversary):
+    with span("cell", scenario=cell.scenario, adversary=cell.adversary) as timer:
         interned_before = _interned_objects()
         base: Optional[Scenario] = None
         cache_key = (cell.scenario, cell.params)
@@ -492,8 +491,8 @@ iter_shard`) reuse the undecorated scenario across cells of the same
             "analyses": results,
             "analysis_versions": analysis_versions(cell.analyses),
             "status": "ok",
-            "duration_s": round(time.perf_counter() - started, 6),
         }
+    record["duration_s"] = round(timer.duration_s, 6)
     return record, run
 
 

@@ -20,7 +20,7 @@ any simulation starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..simulation.context import Context, ExternalInput
@@ -64,26 +64,10 @@ class Scenario:
 
     def with_delivery(self, delivery: DeliveryStrategy) -> "Scenario":
         """The same scenario under a different delivery adversary."""
-        return Scenario(
-            name=self.name,
-            timed_network=self.timed_network,
-            protocols=self.protocols,
-            external_inputs=list(self.external_inputs),
-            delivery=delivery,
-            horizon=self.horizon,
-            description=self.description,
-        )
+        return replace(self, external_inputs=list(self.external_inputs), delivery=delivery)
 
     def with_horizon(self, horizon: int) -> "Scenario":
-        return Scenario(
-            name=self.name,
-            timed_network=self.timed_network,
-            protocols=self.protocols,
-            external_inputs=list(self.external_inputs),
-            delivery=self.delivery,
-            horizon=horizon,
-            description=self.description,
-        )
+        return replace(self, external_inputs=list(self.external_inputs), horizon=horizon)
 
     def with_protocol(self, process: Process, protocol: Protocol) -> "Scenario":
         """The same scenario with one process's protocol replaced."""
@@ -91,15 +75,7 @@ class Scenario:
             protocols=dict(self.protocols.protocols), default=self.protocols.default
         )
         assignment.assign(process, protocol)
-        return Scenario(
-            name=self.name,
-            timed_network=self.timed_network,
-            protocols=assignment,
-            external_inputs=list(self.external_inputs),
-            delivery=self.delivery,
-            horizon=self.horizon,
-            description=self.description,
-        )
+        return replace(self, protocols=assignment, external_inputs=list(self.external_inputs))
 
 
 # ---------------------------------------------------------------------------

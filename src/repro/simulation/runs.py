@@ -17,7 +17,7 @@ core package consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..core.nodes import BasicNode, GeneralNode
 from .context import Context, ExternalInput
@@ -30,6 +30,9 @@ from .messages import (
     Observation,
 )
 from .network import Process, TimedNetwork, timed_network
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.graph import WeightedGraph
 
 #: Version stamp of the :meth:`Run.to_dict` wire format.
 RUN_FORMAT_VERSION = 1
@@ -295,6 +298,7 @@ class Run:
         default=None, repr=False
     )
     _actions: Optional[Tuple[ActionRecord, ...]] = field(default=None, repr=False)
+    _bounds_graph: Optional["WeightedGraph[BasicNode]"] = field(default=None, repr=False)
 
     # Runs are mutable containers (lazy indexes), so they stay unhashable.
     __hash__ = None
@@ -476,7 +480,29 @@ class Run:
 
         return happens_before(earlier, later)
 
-    # -- actions -----------------------------------------------------------------
+    def bounds_graph(self) -> "WeightedGraph[BasicNode]":
+        """``GB(r)`` (Definition 8), built once per run; callers must not mutate it.
+
+        Every reader of the run's bounds graph shares this one graph (and its
+        memoizing longest-path engine).  The builder is looked up at call
+        time, so a wrapper installed on
+        :func:`repro.core.bounds_graph.basic_bounds_graph` sees each build.
+        """
+        if self._bounds_graph is None:
+            from ..core import bounds_graph
+
+            self._bounds_graph = bounds_graph.basic_bounds_graph(self)
+        return self._bounds_graph
+
+    # -- external inputs and actions -----------------------------------------------
+
+    def external_node(self, tag: str, process: Optional[Process] = None) -> Optional[BasicNode]:
+        """The node of the first external delivery tagged ``tag`` (to ``process``
+        if given), or ``None``; e.g. the go node ``sigma_C`` for ``mu_go``."""
+        for record in self.external_deliveries:
+            if record.tag == tag and (process is None or record.process == process):
+                return record.receiver_node
+        return None
 
     def actions(self) -> Tuple[ActionRecord, ...]:
         """All local actions performed in the run, with their nodes and times.

@@ -35,7 +35,7 @@ from repro.scenarios import (
     list_scenarios,
     scenario_registry,
 )
-from repro.simulation import EarliestDelivery, LatestDelivery, SeededRandomDelivery
+from repro.simulation import EarliestDelivery, LatestDelivery, Run, SeededRandomDelivery
 
 
 # ---------------------------------------------------------------------------
@@ -161,25 +161,41 @@ class TestAnalyses:
 
     @pytest.mark.parametrize("scenario", ["figure4", "grid-flood"])
     def test_bounds_passes_share_one_graph_in_either_order(self, scenario, monkeypatch):
-        from repro.experiments import analyses
+        from repro.core import bounds_graph
+        from repro.core.timing import tight_gap
 
         builds = []
-        build = analyses.basic_bounds_graph
+        build = bounds_graph.basic_bounds_graph
 
         def counting_build(run):
             builds.append(run)
             return build(run)
 
-        monkeypatch.setattr(analyses, "basic_bounds_graph", counting_build)
+        monkeypatch.setattr(bounds_graph, "basic_bounds_graph", counting_build)
         run = build_cell_scenario(make_cell(scenario, adversary="latest", seed=3)).run()
         forward = run_analyses(run, ["bounds_graph", "bounds_stats"])
         backward = run_analyses(run, ["bounds_stats", "bounds_graph"])
-        assert len(builds) == 2  # one GB(r) per run_analyses call
         assert forward == backward
-        # A pass called on its own builds its own graph, with the same record.
         for name in ("bounds_graph", "bounds_stats"):
             assert get_analysis(name).run(run) == forward[name]
-        assert len(builds) == 4
+        first, last = run.processes[0], run.processes[-1]
+        tight_gap(run, run.initial_node(first), run.final_node(last))
+        assert len(builds) == 1 and builds[0] is run  # one GB(r) per run
+        # A deserialised copy is another run: it builds its own graph.
+        copy = Run.from_dict(run.to_dict())
+        assert run_analyses(copy, ["bounds_graph", "bounds_stats"]) == forward
+        assert len(builds) == 2 and builds[1] is copy
+
+    def test_bounds_stats_counts_only_its_own_rows(self):
+        from repro.core.timing import tight_gap
+
+        cell = make_cell("figure4", adversary="latest", seed=3)
+        queried = build_cell_scenario(cell).run()
+        first, last = queried.processes[0], queried.processes[-1]
+        tight_gap(queried, queried.initial_node(first), queried.final_node(last))
+        fresh = build_cell_scenario(cell).run()
+        stats = get_analysis("bounds_stats")
+        assert stats.run(queried) == stats.run(fresh)
 
     def test_results_are_json_serialisable(self, figure1_run):
         results = run_analyses(figure1_run, list_analyses())

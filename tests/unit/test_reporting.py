@@ -190,7 +190,9 @@ class TestGroupFieldCollisions:
         assert repr(clash) in str(excinfo.value)
 
     def test_field_named_like_an_unrequested_metric_is_kept(self):
-        payload = report_payload(self.RECORDS, ["scenario", "summary.sends"], ["coordination.margin"])
+        payload = report_payload(
+            self.RECORDS, ["scenario", "summary.sends"], ["coordination.margin"]
+        )
         assert payload[0]["summary.sends"] == "?"
         assert payload[0]["cells"] == 2
 

@@ -14,7 +14,9 @@ from repro.core import (
     general,
     supported_margin,
 )
+from repro.coordination import late_task
 from repro.scenarios import figure2a_scenario, figure2b_scenario
+from repro.simulation import ExternalInput
 
 
 class TestTheorem1Checker:
@@ -123,6 +125,30 @@ class TestTheorem3Checker:
         )
         assert report.acted
         assert not report.holds
+
+    def test_go_node_is_the_go_trigger_delivery(self):
+        # C gets another external input at t=1, before mu_go at t=2: theta_a
+        # must hang off the go node C@2, not off C's first external delivery.
+        scenario = figure2b_scenario(margin=5)
+        scenario.external_inputs.append(ExternalInput(1, "C", "mu_other"))
+        run = scenario.run()
+        go_node = late_task(5).go_node(run)
+        assert run.time_of(go_node) == 2
+        sigma = run.find_action("B", "b").node
+        theta_a = general(go_node, ("C", "A"))
+        known = KnowledgeChecker(sigma, run.timed_network).max_known_gap(theta_a, sigma)
+        for margin in (known, known + 1):
+            report = check_theorem3(
+                run,
+                actor="B",
+                action="b",
+                go_sender="C",
+                go_recipient="A",
+                margin=margin,
+                late=True,
+            )
+            assert report.go_in_past
+            assert report.knowledge_holds is (margin == known)
 
 
 class TestTheorem4Checker:
