@@ -25,76 +25,84 @@ The package is organised in layers:
   persistent content-addressed result store, and the ``repro`` CLI
   (``python -m repro`` or the installed console script).
 
-The most common entry points are re-exported here for convenience.
+The most common entry points are re-exported here for convenience.  Every
+package re-exports lazily (PEP 562): a name loads its defining module on
+first access, so ``import repro`` -- and each ``repro`` command -- loads
+only the modules it uses.
 """
 
-from .core import (
-    BasicNode,
-    GeneralNode,
-    KnowledgeChecker,
-    KnowledgeSession,
-    LongestPathEngine,
-    TimedPrecedence,
-    TwoLeggedFork,
-    ZigzagPattern,
-    basic_bounds_graph,
-    check_theorem1,
-    check_theorem2,
-    check_theorem3,
-    check_theorem4,
-    check_theorem4_batch,
-    general,
-    knows_precedence,
-    max_known_gap,
-    precedes,
-)
-from .simulation import (
-    Bounds,
-    Context,
-    EarliestDelivery,
-    ExternalInput,
-    LatestDelivery,
-    Network,
-    Run,
-    SeededRandomDelivery,
-    Simulator,
-    TimedNetwork,
-    simulate,
-    timed_network,
-)
+import importlib
+import sys
+import types
+from typing import Callable, Dict, List, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BasicNode",
-    "Bounds",
-    "Context",
-    "EarliestDelivery",
-    "ExternalInput",
-    "GeneralNode",
-    "KnowledgeChecker",
-    "KnowledgeSession",
-    "LongestPathEngine",
-    "LatestDelivery",
-    "Network",
-    "Run",
-    "SeededRandomDelivery",
-    "Simulator",
-    "TimedNetwork",
-    "TimedPrecedence",
-    "TwoLeggedFork",
-    "ZigzagPattern",
-    "__version__",
-    "basic_bounds_graph",
-    "check_theorem1",
-    "check_theorem2",
-    "check_theorem3",
-    "check_theorem4",
-    "check_theorem4_batch",
-    "general",
-    "knows_precedence",
-    "max_known_gap",
-    "precedes",
-    "simulate",
-    "timed_network",
-]
+
+class _Package(types.ModuleType):
+    """A lazily re-exporting package (see :func:`_lazy_exports`).
+
+    Importing a submodule binds it on its package.  Where the package
+    re-exports a name equal to a submodule's (``repro.core.path_to_zigzag``
+    is a function and a module), that binding is dropped, so the name keeps
+    meaning the re-export whichever is imported first.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if isinstance(value, types.ModuleType) and name in self.__dict__.get("__all__", ()):
+            return
+        super().__setattr__(name, value)
+
+
+def _lazy_exports(
+    package: str, exports: Dict[str, Tuple[str, ...]]
+) -> Tuple[List[str], Callable[[str], object], Callable[[], List[str]]]:
+    """``__all__`` and the PEP 562 ``__getattr__``/``__dir__`` of ``package``.
+
+    ``exports`` maps each submodule (relative to ``package``) to the names
+    it defines and ``package`` re-exports.  A name's first access imports
+    its submodule and caches the value in the package namespace, so later
+    reads never reach ``__getattr__`` again.
+    """
+    where = {name: module for module, names in exports.items() for name in names}
+    sys.modules[package].__class__ = _Package
+
+    def __getattr__(name: str) -> object:
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(where))
+
+    return sorted(where), __getattr__, __dir__
+
+
+_EXPORTS = {
+    ".core.bounds_graph": ("basic_bounds_graph",),
+    ".core.forks": ("TwoLeggedFork",),
+    ".core.knowledge": ("KnowledgeChecker", "knows_precedence", "max_known_gap"),
+    ".core.knowledge_session": ("KnowledgeSession",),
+    ".core.longest_paths": ("LongestPathEngine",),
+    ".core.nodes": ("BasicNode", "GeneralNode", "general"),
+    ".core.precedence": ("TimedPrecedence", "precedes"),
+    ".core.theorems": (
+        "check_theorem1",
+        "check_theorem2",
+        "check_theorem3",
+        "check_theorem4",
+        "check_theorem4_batch",
+    ),
+    ".core.zigzag": ("ZigzagPattern",),
+    ".simulation.context": ("Context", "ExternalInput"),
+    ".simulation.delivery": ("EarliestDelivery", "LatestDelivery", "SeededRandomDelivery"),
+    ".simulation.engine": ("Simulator", "simulate"),
+    ".simulation.network": ("Bounds", "Network", "TimedNetwork", "timed_network"),
+    ".simulation.runs": ("Run",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -1,53 +1,34 @@
 """Coordination layer: the Early/Late tasks, Protocol 2, and baselines."""
 
-from .baselines import (
-    ChainLowerBoundProtocol,
-    LocalGraphProtocol,
-    NeverActProtocol,
-    chain_lower_bound,
-    find_action_node,
-)
-from .optimal import EagerKnowledgeProbe, OptimalCoordinationProtocol, find_go_node
-from .planner import (
-    ForkPlan,
-    best_fork_plan,
-    earliest_guaranteed_action_offset,
-    guaranteed_margin,
-    is_statically_solvable,
-    optimistic_margin,
-)
-from .tasks import (
-    CoordinationTask,
-    OutcomeSummary,
-    TaskOutcome,
-    early_task,
-    evaluate,
-    evaluate_many,
-    late_task,
-    summarise,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ChainLowerBoundProtocol",
-    "CoordinationTask",
-    "EagerKnowledgeProbe",
-    "ForkPlan",
-    "LocalGraphProtocol",
-    "NeverActProtocol",
-    "OptimalCoordinationProtocol",
-    "OutcomeSummary",
-    "TaskOutcome",
-    "best_fork_plan",
-    "chain_lower_bound",
-    "early_task",
-    "earliest_guaranteed_action_offset",
-    "evaluate",
-    "evaluate_many",
-    "find_action_node",
-    "find_go_node",
-    "guaranteed_margin",
-    "is_statically_solvable",
-    "late_task",
-    "optimistic_margin",
-    "summarise",
-]
+_EXPORTS = {
+    ".baselines": (
+        "ChainLowerBoundProtocol",
+        "LocalGraphProtocol",
+        "NeverActProtocol",
+        "chain_lower_bound",
+        "find_action_node",
+    ),
+    ".optimal": ("EagerKnowledgeProbe", "OptimalCoordinationProtocol", "find_go_node"),
+    ".planner": (
+        "ForkPlan",
+        "best_fork_plan",
+        "earliest_guaranteed_action_offset",
+        "guaranteed_margin",
+        "is_statically_solvable",
+        "optimistic_margin",
+    ),
+    ".tasks": (
+        "CoordinationTask",
+        "OutcomeSummary",
+        "TaskOutcome",
+        "early_task",
+        "evaluate",
+        "evaluate_many",
+        "late_task",
+        "summarise",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

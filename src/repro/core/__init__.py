@@ -1,141 +1,67 @@
 """The paper's contribution: zigzag causality, bounds graphs, and knowledge."""
 
-from .bounds_graph import (
-    LOWER_EDGE,
-    SUCCESSOR_EDGE,
-    UPPER_EDGE,
-    basic_bounds_graph,
-    is_p_closed,
-    local_bounds_graph,
-    local_bounds_graph_from_run,
-    precedence_set,
-    verify_against_run,
-)
-from .causality import (
-    boundary_nodes,
-    common_past,
-    happens_before,
-    is_recognized,
-    local_delivery_map,
-    past_nodes,
-    resolve_within_past,
-)
-from .extended_graph import (
-    AuxiliaryNode,
-    ChainNode,
-    ExtendedBoundsGraph,
-    ExtendedGraphError,
-)
-from .forks import TwoLeggedFork, simple_fork, trivial_fork
-from .graph import Edge, PositiveCycleError, WeightedGraph
-from .knowledge import (
-    KnowledgeChecker,
-    empirical_min_gap,
-    indistinguishable,
-    knows_precedence,
-    max_known_gap,
-)
-from .knowledge_session import KnowledgeSession
-from .longest_paths import EngineStats, LongestPathEngine
-from .nodes import BasicNode, GeneralNode, NodeError, general
-from .path_to_zigzag import ConversionError, longest_zigzag_between, path_to_zigzag
-from .precedence import TimedPrecedence, minimum_gap, precedes, supports
-from .run_construction import ConstructionError, realized_gap, run_by_timing, slow_run
-from .theorems import (
-    Theorem1Report,
-    Theorem2Report,
-    Theorem3Report,
-    Theorem4Report,
-    check_theorem1,
-    check_theorem2,
-    check_theorem3,
-    check_theorem4,
-    check_theorem4_batch,
-    supported_margin,
-)
-from .timing import (
-    TimingError,
-    is_valid_timing,
-    run_timing,
-    slow_timing,
-    slow_timing_domain,
-    tight_gap,
-    validate_timing,
-)
-from .visible import is_visible_zigzag, search_visible_zigzag, visible_weight
-from .zigzag import ZigzagError, ZigzagPattern, single_fork_pattern
+from .. import _lazy_exports
 
-__all__ = [
-    "AuxiliaryNode",
-    "BasicNode",
-    "ChainNode",
-    "ConstructionError",
-    "ConversionError",
-    "Edge",
-    "EngineStats",
-    "ExtendedBoundsGraph",
-    "ExtendedGraphError",
-    "GeneralNode",
-    "KnowledgeChecker",
-    "KnowledgeSession",
-    "LongestPathEngine",
-    "LOWER_EDGE",
-    "NodeError",
-    "PositiveCycleError",
-    "SUCCESSOR_EDGE",
-    "Theorem1Report",
-    "Theorem2Report",
-    "Theorem3Report",
-    "Theorem4Report",
-    "TimedPrecedence",
-    "TimingError",
-    "TwoLeggedFork",
-    "UPPER_EDGE",
-    "WeightedGraph",
-    "ZigzagError",
-    "ZigzagPattern",
-    "basic_bounds_graph",
-    "boundary_nodes",
-    "check_theorem1",
-    "check_theorem2",
-    "check_theorem3",
-    "check_theorem4",
-    "check_theorem4_batch",
-    "common_past",
-    "empirical_min_gap",
-    "general",
-    "happens_before",
-    "indistinguishable",
-    "is_p_closed",
-    "is_recognized",
-    "is_valid_timing",
-    "is_visible_zigzag",
-    "knows_precedence",
-    "local_bounds_graph",
-    "local_bounds_graph_from_run",
-    "local_delivery_map",
-    "longest_zigzag_between",
-    "max_known_gap",
-    "minimum_gap",
-    "past_nodes",
-    "path_to_zigzag",
-    "precedence_set",
-    "precedes",
-    "realized_gap",
-    "resolve_within_past",
-    "run_by_timing",
-    "run_timing",
-    "search_visible_zigzag",
-    "simple_fork",
-    "single_fork_pattern",
-    "slow_run",
-    "slow_timing",
-    "slow_timing_domain",
-    "supported_margin",
-    "supports",
-    "tight_gap",
-    "trivial_fork",
-    "validate_timing",
-    "verify_against_run",
-    "visible_weight",
-]
+_EXPORTS = {
+    ".bounds_graph": (
+        "LOWER_EDGE",
+        "SUCCESSOR_EDGE",
+        "UPPER_EDGE",
+        "basic_bounds_graph",
+        "is_p_closed",
+        "local_bounds_graph",
+        "local_bounds_graph_from_run",
+        "precedence_set",
+        "verify_against_run",
+    ),
+    ".causality": (
+        "boundary_nodes",
+        "common_past",
+        "happens_before",
+        "is_recognized",
+        "local_delivery_map",
+        "past_nodes",
+        "resolve_within_past",
+    ),
+    ".extended_graph": ("AuxiliaryNode", "ChainNode", "ExtendedBoundsGraph", "ExtendedGraphError"),
+    ".forks": ("TwoLeggedFork", "simple_fork", "trivial_fork"),
+    ".graph": ("Edge", "PositiveCycleError", "WeightedGraph"),
+    ".knowledge": (
+        "KnowledgeChecker",
+        "empirical_min_gap",
+        "indistinguishable",
+        "knows_precedence",
+        "max_known_gap",
+    ),
+    ".knowledge_session": ("KnowledgeSession",),
+    ".longest_paths": ("EngineStats", "LongestPathEngine"),
+    ".nodes": ("BasicNode", "GeneralNode", "NodeError", "general"),
+    ".path_to_zigzag": ("ConversionError", "longest_zigzag_between", "path_to_zigzag"),
+    ".precedence": ("TimedPrecedence", "minimum_gap", "precedes", "supports"),
+    ".run_construction": ("ConstructionError", "realized_gap", "run_by_timing", "slow_run"),
+    ".theorems": (
+        "Theorem1Report",
+        "Theorem2Report",
+        "Theorem3Report",
+        "Theorem4Report",
+        "check_theorem1",
+        "check_theorem2",
+        "check_theorem3",
+        "check_theorem4",
+        "check_theorem4_batch",
+        "supported_margin",
+    ),
+    ".timing": (
+        "TimingError",
+        "is_valid_timing",
+        "run_timing",
+        "slow_timing",
+        "slow_timing_domain",
+        "tight_gap",
+        "validate_timing",
+    ),
+    ".visible": ("is_visible_zigzag", "search_visible_zigzag", "visible_weight"),
+    ".zigzag": ("ZigzagError", "ZigzagPattern", "single_fork_pattern"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

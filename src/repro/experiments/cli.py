@@ -32,20 +32,13 @@ import json
 import math
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.extended_graph import ExtendedBoundsGraph
-from ..scenarios.base import RegistryError, scenario_registry
-from .analyses import DEFAULT_ANALYSES, get_analysis, list_analyses
-from .executors import BACKENDS
+# Only light modules load at start-up: each command imports the modules it
+# runs inside its handler, so `repro report` never loads the simulator and
+# `repro list` never loads the worker fabric.
 from . import faults
-from .faults import (
-    DEFAULT_CHAOS_PLAN,
-    FAULTS_ENV,
-    STORAGE_KINDS,
-    FaultError,
-    parse_plan,
-)
+from .faults import DEFAULT_CHAOS_PLAN, FAULTS_ENV, STORAGE_KINDS, FaultError, parse_plan
 from .reporting import (
     DEFAULT_REPORT_METRICS,
     cell_records,
@@ -53,19 +46,11 @@ from .reporting import (
     report_groups,
     report_payload,
 )
-from .runner import (
-    ADVERSARIES,
-    TELEMETRY_KIND,
-    SpecError,
-    SweepCell,
-    SweepError,
-    build_cell_scenario,
-    execute_cell,
-    expand_grid,
-    make_cell,
-    run_sweep,
-)
+from .spec import ADVERSARIES, BACKENDS, TELEMETRY_KIND, SpecError, SweepError
 from .store import DEFAULT_ROTATE_BYTES, DEFAULT_STORE_PATH, ResultStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .runner import SweepCell
 
 #: Default axes of `repro sweep`: 3 scenarios x 3 adversaries x 4 seeds = 36 cells.
 DEFAULT_SWEEP_SCENARIOS = ("flooding", "torus-flood", "tree-flood")
@@ -93,6 +78,8 @@ def _parse_set(
 
     A name no scenario declares keeps its text: :func:`expand_grid` rejects it.
     """
+    from ..scenarios.base import RegistryError, scenario_registry
+
     registry = scenario_registry()
     grid: Dict[str, List[Any]] = {}
     for assignment in assignments:
@@ -131,6 +118,9 @@ def _grid_cells(
 ) -> List[SweepCell]:
     """Check and expand a command's grid through :func:`expand_grid`, the
     check ``POST /sweeps`` shares; ``flags`` overrides :data:`_GRID_FLAGS`."""
+    from .analyses import DEFAULT_ANALYSES
+    from .runner import expand_grid
+
     try:
         return expand_grid(
             scenarios,
@@ -207,6 +197,9 @@ def _check_flag_bounds(args: argparse.Namespace) -> None:
 
 
 def _cmd_list(args: argparse.Namespace, out) -> int:
+    from ..scenarios.base import scenario_registry
+    from .analyses import DEFAULT_ANALYSES, get_analysis, list_analyses
+
     registry = scenario_registry()
     print(f"scenarios ({len(registry)}):", file=out)
     for name in sorted(registry):
@@ -225,6 +218,8 @@ def _cmd_list(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, out) -> int:
+    from .runner import execute_cell
+
     cell = _one_cell(args)
     record, run = execute_cell(cell)
     if args.store is not None:
@@ -313,6 +308,10 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
             print(f"  {cell.key()[:12]}  {cell.describe()}", file=out)
         print("dry run: nothing executed", file=out)
         return 0
+    # The execution stack loads here, before any worker forks: workers
+    # inherit it instead of each importing it again.
+    from .runner import run_sweep
+
     store = ResultStore(args.store, rotate_bytes=_rotate_bytes(args))
     progress = (lambda message: print(f"  {message}", file=out)) if args.verbose else None
     backend: Any = "serial"
@@ -488,6 +487,8 @@ def _cmd_store(args: argparse.Namespace, out) -> int:
 
 def _record_run(record: Dict[str, Any]):
     """Re-derive the run of one stored record (deterministic by cell identity)."""
+    from .runner import build_cell_scenario, make_cell
+
     cell = make_cell(
         record["scenario"],
         overrides=record["params"],
@@ -615,7 +616,9 @@ def _parse_sigma(run, text: Optional[str]):
 
 
 def _cmd_export(args: argparse.Namespace, out) -> int:
+    from ..core.extended_graph import ExtendedBoundsGraph
     from ..viz.export import causal_dag, graph_to_dot, graph_to_graphml
+    from .runner import build_cell_scenario
 
     cell = _one_cell(args)
     run = build_cell_scenario(cell).run()

@@ -43,9 +43,7 @@ from ..obs.collect import Collector, registry_baseline, registry_delta
 from ..simulation.interning import InternPool, intern_pool
 from . import faults
 from .runner import SweepCell, SweepError, error_record, execute_cell
-
-#: The backend names ``run_sweep``/the CLI accept.
-BACKENDS: Tuple[str, ...] = ("auto", "serial", "fabric")
+from .spec import BACKENDS
 
 #: Ceiling on *derived* cells per shard: bounds a worker's intern-pool
 #: lifetime (memory) and keeps shards small enough to balance across the

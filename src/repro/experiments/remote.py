@@ -62,7 +62,6 @@ its inline drain) stays immune.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import queue
 import socket
@@ -664,6 +663,10 @@ class _LocalFleet:
             self._spawn()
 
     def _spawn(self) -> None:
+        # Loaded by the first fork, in this process: a sweep with every cell
+        # cached (and `repro serve`, which forks none) never needs it.
+        import multiprocessing
+
         self._spawned += 1
         worker_id = f"local-{self._spawned}"
         proc = multiprocessing.Process(

@@ -23,10 +23,11 @@ invariant by skipping the pre-filter.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .runner import TELEMETRY_KIND, SpecError
+from .spec import TELEMETRY_KIND, SpecError
 
 __all__ = [
     "DEFAULT_REPORT_METRICS",
@@ -89,10 +90,13 @@ def flatten_scalars(value: Any, prefix: str = "") -> Dict[str, Any]:
     return flat
 
 
-def _flatten_into(prefix: str, value: Any, into: Dict[str, Any]) -> None:
+def _flatten_into(
+    prefix: str, value: Any, into: Dict[str, Any], walk: Optional[frozenset] = None
+) -> None:
     # Exact JSON types are dispatched by identity first; isinstance(value,
     # Mapping) is an ABC check, several times slower.  Other types (subclasses,
-    # tuples, enums) fall through to the isinstance tests.
+    # tuples, enums) fall through to the isinstance tests.  With ``walk``,
+    # only children whose path is in it are visited.
     kind = type(value)
     if kind is str or kind is bool or value is None:
         into[prefix] = value
@@ -100,10 +104,14 @@ def _flatten_into(prefix: str, value: Any, into: Dict[str, Any]) -> None:
         into[prefix] = float(value)
     elif kind is dict or (kind is not list and isinstance(value, Mapping)):
         for key, inner in value.items():
-            _flatten_into(f"{prefix}.{key}" if prefix else str(key), inner, into)
+            path = f"{prefix}.{key}" if prefix else str(key)
+            if walk is None or path in walk:
+                _flatten_into(path, inner, into, walk)
     elif kind is list or isinstance(value, (list, tuple)):
         for index, inner in enumerate(value):
-            _flatten_into(f"{prefix}.{index}" if prefix else str(index), inner, into)
+            path = f"{prefix}.{index}" if prefix else str(index)
+            if walk is None or path in walk:
+                _flatten_into(path, inner, into, walk)
     elif isinstance(value, str):
         into[prefix] = value
     elif isinstance(value, (int, float)):
@@ -112,9 +120,37 @@ def _flatten_into(prefix: str, value: Any, into: Dict[str, Any]) -> None:
         into[prefix] = repr(value)
 
 
-def report_row(record: Mapping[str, Any], source: str = "analyses") -> Dict[str, Any]:
-    """One record's report row: its ``source`` section, flattened."""
-    return flatten_scalars(record.get(source, {}))
+@lru_cache(maxsize=64)
+def _walk_set(paths: Tuple[str, ...]) -> frozenset:
+    """Every dot-boundary prefix of ``paths`` (the paths included), and ``""``.
+
+    A node's path extends its parent's by ``"." + key`` (a parent at ``""``
+    passes the bare key), so a leaf at a requested path is reached through
+    nodes whose paths are all in this set, and no other subtree can hold one.
+    """
+    walk = {""}
+    for path in paths:
+        walk.add(path)
+        walk.update(path[:index] for index, char in enumerate(path) if char == ".")
+    return frozenset(walk)
+
+
+def report_row(
+    record: Mapping[str, Any],
+    source: str = "analyses",
+    metrics: Optional[Sequence[str]] = None,
+) -> Dict[str, Any]:
+    """One record's report row: its ``source`` section, flattened.
+
+    With ``metrics``, the row is :func:`flatten_scalars` restricted to those
+    paths, built by walking only the subtrees that can hold them.
+    """
+    section = record.get(source, {})
+    if metrics is None:
+        return flatten_scalars(section)
+    flat: Dict[str, Any] = {}
+    _flatten_into("", section, flat, _walk_set(tuple(metrics)))
+    return {path: flat[path] for path in flat if path in metrics}
 
 
 def group_records(
@@ -122,12 +158,15 @@ def group_records(
     group_fields: Sequence[str],
     source: str = "analyses",
     rows: Optional[Sequence[Mapping[str, Any]]] = None,
+    metrics: Optional[Sequence[str]] = None,
 ) -> Dict[Tuple[str, ...], List[Mapping[str, Any]]]:
     """Bucket records by their group-field values; rows are flattened leaves.
 
     ``rows``, when given, holds each record's :func:`report_row` already
     flattened (``rows[i]`` belongs to ``records[i]``), so a caller that
-    keeps rows across reports does not flatten again.
+    keeps rows across reports does not flatten again.  Otherwise each row
+    is the record's :func:`report_row` over ``metrics`` (every leaf when
+    ``None``).
 
     Telemetry records are skipped even if a caller forgot
     :func:`cell_records`: a ``sweep_telemetry`` record carries no analyses,
@@ -138,7 +177,7 @@ def group_records(
         if record.get("kind") == TELEMETRY_KIND:
             continue
         group = tuple([str(record.get(field, "?")) for field in group_fields])
-        row = report_row(record, source) if rows is None else rows[index]
+        row = report_row(record, source, metrics) if rows is None else rows[index]
         groups.setdefault(group, []).append(row)
     return groups
 
@@ -195,10 +234,11 @@ def report_groups(
     ``/report``) and the text table and HTML rows of ``repro report``
     (:func:`format_aggregate` of each summary).  ``rows`` passes
     pre-flattened rows through to :func:`group_records`; records then need
-    no ``analyses``.
+    no ``analyses``.  Without ``rows``, each record is flattened only along
+    the requested metrics.
     """
     chosen = list(metrics) if metrics else list(DEFAULT_REPORT_METRICS)
-    groups = group_records(records, group_fields, rows=rows)
+    groups = group_records(records, group_fields, rows=rows, metrics=chosen)
     aggregated: List[Tuple[Tuple[str, ...], int, Dict[str, Dict[str, Any]]]] = []
     for group, group_rows in sorted(groups.items()):
         summaries: Dict[str, Dict[str, Any]] = {}

@@ -53,13 +53,20 @@ from ..simulation.delivery import (
     SeededRandomDelivery,
 )
 from .analyses import DEFAULT_ANALYSES, AnalysisError, analysis_versions, run_analyses
+from .spec import (  # defined there for the light CLI and report paths
+    ADVERSARIES,
+    TELEMETRY_KIND,
+    TELEMETRY_STATUS,
+    SpecError,
+    SweepError,
+)
 from .store import ResultStore, canonical_json, cell_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulation.runs import Run
     from .executors import SweepExecutor
 
-#: The delivery adversaries a sweep can pit scenarios against: each one's
+#: The delivery adversaries of :data:`ADVERSARIES`, in its order: each one's
 #: factory, and whether it draws on the cell's seed.  :func:`make_delivery`
 #: passes the seed to seeded factories only, so the run of an unseeded
 #: adversary cannot depend on the seed, and :meth:`SweepCell.run_identity`
@@ -69,7 +76,6 @@ _ADVERSARY_TABLE: Dict[str, Tuple[Callable[..., DeliveryStrategy], bool]] = {
     "latest": (LatestDelivery, False),
     "random": (SeededRandomDelivery, True),
 }
-ADVERSARIES: Tuple[str, ...] = tuple(_ADVERSARY_TABLE)
 
 _C_CELLS_EXECUTED = _metrics.counter("sweep.cells_executed")
 _C_CELLS_SHARED = _metrics.counter("sweep.cells_shared")
@@ -95,24 +101,6 @@ _INTERN_VALUE_TABLES = (
 def _interned_objects() -> int:
     stats = intern_stats()
     return sum(stats[name] for name in _INTERN_VALUE_TABLES)
-
-
-class SweepError(ValueError):
-    """Raised on malformed sweep configurations."""
-
-
-class SpecError(SweepError):
-    """A malformed sweep grid or spec; ``field`` names the offending field.
-
-    The grid errors of :func:`make_cell` and :func:`expand_grid` start
-    their message with the field name, so a front end can swap in its own
-    name for the field: ``repro`` names the flag, and ``POST /sweeps``
-    answers 400 with the field in the body.
-    """
-
-    def __init__(self, message: str, field: str = "spec"):
-        super().__init__(message)
-        self.field = field
 
 
 def make_delivery(adversary: str, seed: int) -> DeliveryStrategy:
@@ -553,12 +541,6 @@ class SweepOutcome:
             f"{self.total} cells: {self.executed} executed, {self.cached} cached, "
             f"{self.errors} errors in {self.duration_s:.2f}s"
         )
-
-
-#: ``kind``/``status`` of the telemetry record a sweep persists; report and
-#: cache scans filter on these, so telemetry never masquerades as a cell.
-TELEMETRY_KIND = "sweep_telemetry"
-TELEMETRY_STATUS = "telemetry"
 
 
 def sweep_telemetry_key(cells: Sequence[SweepCell]) -> str:

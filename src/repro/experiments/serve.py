@@ -196,59 +196,74 @@ class SweepJob:
 
 _ReportEntry = Optional[Tuple[Dict[str, Any], Dict[str, Any]]]
 
+#: Report payloads, and report memos (one per metric tuple), kept before the
+#: view drops them all.  A memo holds every cell of the store, so it gets
+#: the smaller cap.
+_MAX_REPORTS = 64
+_MAX_MEMOS = 8
 
-def _report_entry(record: Mapping[str, Any]) -> _ReportEntry:
-    """A report cell as (the record without ``analyses``, its report row);
-    ``None`` for records no report counts (telemetry, error cells)."""
+
+def _report_entry(record: Mapping[str, Any], metrics: Tuple[str, ...]) -> _ReportEntry:
+    """A report cell as (the record without ``analyses``, its report row
+    over ``metrics``); ``None`` for records no report counts (telemetry,
+    error cells)."""
     if not is_cell(record):
         return None
     slim = {name: value for name, value in record.items() if name != "analyses"}
-    return slim, report_row(record)
+    return slim, report_row(record, metrics=metrics)
 
 
 class _StoreView:
-    """One long-lived store view, refreshed by delta, plus the report memo.
+    """One long-lived store view, refreshed by delta, plus the report memos.
 
     ``reports`` caches report payloads; it is emptied whenever a refresh
-    changes anything, so a cached report is always current.  The memo maps
-    every stored key, in :meth:`ResultStore.records` order, to its
-    :func:`_report_entry`; it is built on the first report by streaming the
-    store one segment at a time, and afterwards only the keys a refresh
-    reports are flattened again.  Keeping the order keeps every float sum,
-    and so the payload, bit-identical to a fresh scan.  Callers hold
-    ``lock`` around every use.
+    changes anything, so a cached report is always current.  ``memos``
+    keeps, per requested metric tuple, every stored key in
+    :meth:`ResultStore.records` order mapped to its :func:`_report_entry`,
+    whose row holds only those metrics.  A memo is built on the first
+    report over its metrics by streaming the store one segment at a time;
+    afterwards a refresh re-flattens only the keys it reports, and a full
+    reload drops every memo.  Keeping the order keeps every float sum, and
+    so the payload, bit-identical to a fresh scan.  Callers hold ``lock``
+    around every use.
     """
 
     def __init__(self, store: ResultStore):
         self.store = store
         self.lock = threading.Lock()
         self.reports: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-        self._memo: Optional[Dict[str, _ReportEntry]] = None
+        self.memos: Dict[Tuple[str, ...], Dict[str, _ReportEntry]] = {}
 
     def refresh(self) -> ResultStore:
         changed = self.store.refresh()
         if changed is None:
             self.reports.clear()
-            self._memo = None
+            self.memos.clear()
         elif changed:
             self.reports.clear()
-            if self._memo is not None:
+            if self.memos:
                 for key in changed:
-                    self._memo[key] = _report_entry(self.store.get(key))
+                    record = self.store.get(key)
+                    for metrics, memo in self.memos.items():
+                        memo[key] = _report_entry(record, metrics)
         return self.store
 
     def report_cells(
-        self, keys: Optional[frozenset] = None
+        self, metrics: Tuple[str, ...], keys: Optional[frozenset] = None
     ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-        """The report cells (optionally only ``keys``) and their rows."""
-        if self._memo is None:
-            memo: Dict[str, _ReportEntry] = {}
+        """The report cells (optionally only ``keys``) and their rows over
+        ``metrics``."""
+        memo = self.memos.get(metrics)
+        if memo is None:
+            if len(self.memos) >= _MAX_MEMOS:
+                self.memos.clear()
+            memo = {}
             for record in self.store.iter_records():
-                memo[record["key"]] = _report_entry(record)
-            self._memo = memo
+                memo[record["key"]] = _report_entry(record, metrics)
+            self.memos[metrics] = memo
         records: List[Dict[str, Any]] = []
         rows: List[Dict[str, Any]] = []
-        for entry in self._memo.values():
+        for entry in memo.values():
             if entry is not None and (keys is None or entry[0]["key"] in keys):
                 records.append(entry[0])
                 rows.append(entry[1])
@@ -511,7 +526,7 @@ class SweepService:
                 return {**cached, "served_from_cache": True}
             _C_CACHE_MISS.value += 1
             with span("serve.report", groups=len(group_by)):
-                records, rows = view.report_cells(keys)
+                records, rows = view.report_cells(chosen, keys)
                 payload: Dict[str, Any] = {
                     "store": self.store_path,
                     "group_by": list(group_by),
@@ -523,7 +538,7 @@ class SweepService:
                 }
                 if sweep is not None:
                     payload["sweep"] = sweep
-            if len(view.reports) >= 64:
+            if len(view.reports) >= _MAX_REPORTS:
                 view.reports.clear()
             view.reports[cache_key] = payload
         return {**payload, "served_from_cache": False}
@@ -745,10 +760,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
 
-        def write_chunk(payload: Dict[str, Any]) -> None:
-            data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-            self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
-
         sent = 0
         try:
             while True:
@@ -758,12 +769,17 @@ class _Handler(BaseHTTPRequestHandler):
                     batch = job.events[sent:]
                     sent += len(batch)
                     finished = job.terminal and sent == len(job.events)
-                for event in batch:
-                    write_chunk(event)
                 if finished:
-                    write_chunk({"event": "end", "sweep": job.id, "status": job.status})
+                    batch.append({"event": "end", "sweep": job.id, "status": job.status})
+                # One chunk per wakeup: wfile is unbuffered, so each write is
+                # a socket send.  The stream's last chunk carries the
+                # terminating empty chunk with it.
+                lines = [json.dumps(event, sort_keys=True) + "\n" for event in batch]
+                body = "".join(lines).encode("utf-8")
+                chunk = b"%X\r\n%s\r\n" % (len(body), body) if body else b""
+                self.wfile.write(chunk + b"0\r\n\r\n" if finished else chunk)
+                if finished:
                     break
-            self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # client went away mid-stream

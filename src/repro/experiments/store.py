@@ -94,7 +94,6 @@ import hashlib
 import json
 import os
 import re
-import socket
 import time
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -808,6 +807,8 @@ class ResultStore:
         truncates the tail the segment is durable — a crash between seal and
         truncate leaves duplicates (tail wins), never a lost record.
         """
+        import socket  # loaded by the first seal, not by every command
+
         owner = f"{socket.gethostname()}:{os.getpid()}"
         meta = {
             "seg": {

@@ -622,3 +622,89 @@ def test_report_memo_keeps_store_order_so_float_sums_match_a_fresh_scan(tmp_path
     assert served["served_from_cache"] is False
     assert served["groups"] == fresh
     assert fresh[0]["summary.sends"]["mean"] == 50 / 3
+
+
+def test_report_memo_keeps_one_pruned_map_per_metric_tuple(tmp_path):
+    """Each metric tuple gets its own memo of rows holding only its metrics;
+    a tail append updates every memo, and a full reload drops them all."""
+    from repro.experiments.reporting import report_payload
+    from repro.experiments.store import ResultStore
+
+    path = str(tmp_path / "results.jsonl")
+
+    def cell(key, sends, label):
+        return {
+            "key": key,
+            "status": "ok",
+            "scenario": "s",
+            "adversary": "earliest",
+            "analyses": {"summary": {"sends": sends, "label": label, "extra": [1, 2]}},
+        }
+
+    ResultStore(path).put_many([cell("a", 1, "x"), cell("b", 2, "y")])
+    service = SweepService(path)
+    sends, labels = ("summary.sends",), ("summary.label", "summary.sends")
+    for metrics in (sends, labels):
+        assert service.report(metrics=list(metrics))["served_from_cache"] is False
+    memos = service._view.memos
+    assert set(memos) == {sends, labels}
+    assert [row for _, row in memos[sends].values()] == [
+        {"summary.sends": 1.0},
+        {"summary.sends": 2.0},
+    ]
+    assert memos[labels]["a"][1] == {"summary.sends": 1.0, "summary.label": "x"}
+    assert all("analyses" not in slim for slim, _ in memos[labels].values())
+
+    ResultStore(path).put(cell("c", 3, "x"))
+    for metrics in (sends, labels):
+        served = service.report(metrics=list(metrics))
+        fresh = report_payload(
+            ResultStore(path).records(), ["scenario", "adversary"], list(metrics)
+        )
+        assert served["served_from_cache"] is False
+        assert served["groups"] == fresh
+    assert [len(memo) for memo in memos.values()] == [3, 3]
+
+    ResultStore(path).put(cell("a", 4, "y"))
+    assert ResultStore(path).compact() == 1  # a rewrite: the view reloads
+    assert service.report(metrics=list(sends))["groups"][0]["summary.sends"]["max"] == 4
+    assert set(memos) == {sends}
+
+
+def _raw_chunks(address, path):
+    """GET ``path`` over a raw socket: the chunked body's data chunks."""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode("ascii"))
+        raw = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            raw += data
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert b"Transfer-Encoding: chunked" in head
+    chunks = []
+    while True:
+        size_line, _, body = body.partition(b"\r\n")
+        size = int(size_line, 16)
+        if size == 0:
+            assert body == b"\r\n"
+            return chunks
+        chunks.append(body[:size])
+        assert body[size : size + 2] == b"\r\n"
+        body = body[size + 2 :]
+
+
+def test_events_of_a_finished_sweep_arrive_as_one_chunk(service):
+    """The stream writes one chunk per wakeup: a finished sweep's whole feed
+    (every event in order, then ``end``) is one chunk and the terminator."""
+    _, body = _post(service, "/sweeps", SMALL_SPEC)
+    _wait_done(service, body["sweep"])
+    chunks = _raw_chunks(service.address, f"/sweeps/{body['sweep']}/events")
+    assert len(chunks) == 1
+    lines = chunks[0].decode("utf-8").splitlines()
+    expected = service.job(body["sweep"]).events + [
+        {"event": "end", "sweep": body["sweep"], "status": "done"}
+    ]
+    assert [json.loads(line) for line in lines] == expected
+    assert lines == [json.dumps(event, sort_keys=True) for event in expected]
